@@ -18,6 +18,7 @@ from .channels import (
     build_local_kraus,
     build_pair_collective_kraus,
     build_triple_collective_kraus,
+    decay_exponents,
     evolve,
     gamma,
     kraus_for,
@@ -29,14 +30,11 @@ from .entanglement import (
     concurrence,
     concurrence_curve,
     entanglement_of_formation,
-    spin_flip,
-    wootters_lambdas,
 )
 from .errors import EquivalenceNotEstablishedError, UnsupportedScenarioError
 from .linalg import (
     QUBITS,
     frobenius_distance,
-    hermitian_eigenvalues,
     kron,
     partial_trace,
 )
@@ -47,7 +45,6 @@ from .montecarlo import (
     TrajectoryConfig,
     compare_to_channel,
     fields_from_scenario,
-    simulate_average,
     simulate_statistics,
 )
 from .presets import (

@@ -4,6 +4,11 @@ Every channel is a set of real diagonal decomposition (Kraus) operators
 acting at one of three scales: a single qubit, a qubit pair sharing one
 noise field, or the whole three-qubit register.  A scenario bundles the
 channels acting on a register together with their damping rates.
+
+Because every operator is diagonal, the operator sum multiplies each
+coherence (i, j) by its own factor, exp(-E_ij t).  ``decay_exponents``
+builds the exponent matrix E of a scenario once from the Kraus diagonals,
+and ``evolve`` applies the diagonal operator sum as rho0 * exp(-t E).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import QUBITS, qubit_bit
+from .linalg import QUBITS, subspace_index
 
 #: apply_kraus refuses sets whose completeness deviation exceeds this.
 COMPLETENESS_LIMIT = 1e-9
@@ -174,21 +179,10 @@ class KrausSet:
         return self.operators[0].shape[0]
 
 
-def _embed_diagonal(pattern, support: tuple[str, ...], register_size: int) -> np.ndarray:
-    """Register-wide diagonal whose action on the support subspace is `pattern`."""
-    register = QUBITS[:register_size]
-    dim = 1 << register_size
-    diag = np.empty(dim)
-    for idx in range(dim):
-        sub = 0
-        for q in support:
-            sub = (sub << 1) | qubit_bit(idx, q, register)
-        diag[idx] = pattern[sub]
-    return diag
-
-
 def _diagonal_set(patterns, support, register_size: int) -> KrausSet:
-    return KrausSet(tuple(np.diag(_embed_diagonal(p, support, register_size)) for p in patterns))
+    """Register-wide operators whose diagonals act on the support subspace as `patterns`."""
+    sub = subspace_index(support, QUBITS[:register_size])
+    return KrausSet(tuple(np.diag(np.asarray(p, dtype=float)[sub]) for p in patterns))
 
 
 def build_local_kraus(qubit: str, register_size: int, rate: float, t: float) -> KrausSet:
@@ -283,14 +277,37 @@ def apply_kraus(rho, ks: KrausSet):
     return _with_matrix(rho, out)
 
 
-def evolve(rho0, scenario: NoiseScenario, t: float):
-    """State at time t under every channel of the scenario.
+def decay_exponents(scenario: NoiseScenario) -> np.ndarray:
+    """Exponent matrix E of the scenario: coherence (i, j) decays as exp(-E_ij t).
 
-    The channels are applied sequentially, each parameterized by its own
-    decay factor at t; all operators are diagonal, so the order does not
-    matter and the composition equals the simultaneous operator sum.
+    A diagonal channel multiplies rho elementwise by F = sum_k K J K^dagger,
+    its operator sum on the all-ones matrix J, so F_ij = sum_k d_ki d_kj over
+    the Kraus diagonals d_k.  Each channel's F is taken at the reference time
+    1/rate, where it holds the same powers of g = e^(-1/2) for every rate
+    (populations exactly 1, nothing below g^4 = e^(-2)), and adds
+    -rate * ln F to E.  Channels with rate 0 add nothing.
     """
-    if t < 0:
+    dim = 1 << scenario.register_size
+    ones = np.ones((dim, dim))
+    exponents = np.zeros((dim, dim))
+    for kind, rate in scenario.channels:
+        if rate == 0:
+            continue
+        ks = kraus_for(kind, scenario.register_size, rate, 1.0 / rate)
+        exponents -= rate * np.log(apply_kraus(ones, ks).real)
+    return exponents
+
+
+def evolve(rho0, scenario: NoiseScenario, t):
+    """State at time t under every channel of the scenario, rho0 * exp(-t E).
+
+    E is ``decay_exponents(scenario)``; the channels commute, so their
+    order does not matter.  For a bare array, `t` may also be an array of
+    times shaped to broadcast against the matrix, e.g. ``times[:, None, None]``
+    for a (T, dim, dim) stack.
+    """
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0):
         raise ValueError(f"time must be nonnegative, got {t}")
     dim = 1 << scenario.register_size
     mat = _matrix_of(rho0)
@@ -298,9 +315,5 @@ def evolve(rho0, scenario: NoiseScenario, t: float):
         raise ValueError(
             f"state of shape {mat.shape} does not match a {scenario.register_size}-qubit scenario"
         )
-    out = rho0
-    for kind, rate in scenario.channels:
-        out = apply_kraus(out, kraus_for(kind, scenario.register_size, rate, t))
-    if not scenario.channels:
-        out = _with_matrix(rho0, mat.astype(complex, copy=True))
-    return out
+    out = mat.astype(complex) * np.exp(-times * decay_exponents(scenario))
+    return _with_matrix(rho0, out)

@@ -40,8 +40,15 @@ from .entanglement import concurrence_curve, entanglement_of_formation
 from .errors import EquivalenceNotEstablishedError
 from .linalg import frobenius_distance, partial_trace
 from .montecarlo import DISTANCE_FACTOR, Z_LIMIT, ChannelComparison, compare_to_channel
-from .presets import CLASS_REGISTER, PAPER_MATRIX, draw_state, named_scenario
-from .states import StateSpec, analytic_evolved, projector
+from .presets import PAPER_MATRIX, draw_state, named_scenario
+from .states import (
+    STATE_TYPES,
+    StateSpec,
+    analytic_evolved,
+    projector,
+    qubit_pairs,
+    reduced_subsets,
+)
 from .svgplot import line_chart
 from .timescales import (
     TimeGrid,
@@ -114,14 +121,6 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _pairs(register: tuple[str, ...]) -> list[tuple[str, str]]:
-    return [
-        (register[i], register[j])
-        for i in range(len(register))
-        for j in range(i + 1, len(register))
-    ]
-
-
 def _trajectory_columns(
     spec: StateSpec, scenario: NoiseScenario, grid: TimeGrid, outputs: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
@@ -138,7 +137,7 @@ def _trajectory_columns(
                 columns[f"abs_rho_{i + 1}{j + 1}"] = np.abs(stack[:, i, j])
 
     pair_curves: dict[str, np.ndarray] = {}
-    for pair in _pairs(register):
+    for pair in qubit_pairs(register):
         label = "".join(pair)
         red = stack if n == 2 else partial_trace(stack, pair, register)
         pair_curves[label] = concurrence_curve(red)
@@ -154,10 +153,7 @@ def _trajectory_columns(
         for label, c in pair_curves.items():
             columns[f"Ef_{label}"] = np.array([entanglement_of_formation(x) for x in c])
     if "reduced" in outputs:
-        subsets: list[tuple[str, ...]] = [(q,) for q in register]
-        if n == 3:
-            subsets += _pairs(register)
-        for keep in subsets:
+        for keep in reduced_subsets(register):
             label = "".join(keep)
             red = partial_trace(stack, keep, register)
             d = 1 << len(keep)
@@ -514,7 +510,7 @@ def cmd_sweep(args) -> int:
     for cls in sweep.classes:
         for scen_name in sweep.scenarios:
             scenario = named_scenario(scen_name, sweep.rate)
-            if scenario.register_size != CLASS_REGISTER[cls]:
+            if scenario.register_size != len(STATE_TYPES[cls].register):
                 continue
             for draw in range(sweep.draws):
                 spec = draw_state(cls, rng)

@@ -15,16 +15,7 @@ from typing import Optional
 from .channels import Local, NoiseScenario, PairCollective, TripleCollective
 from .montecarlo import TrajectoryConfig
 from .presets import SCENARIO_LAYOUTS, STATE_CLASSES
-from .states import (
-    Fragile,
-    Fragile2,
-    GenericPure,
-    GHZState,
-    Robust,
-    Robust2,
-    StateSpec,
-    WState,
-)
+from .states import STATE_TYPES, StateSpec, slots
 from .timescales import TimeGrid, default_grid
 
 
@@ -40,8 +31,10 @@ class ConfigValidationError(Exception):
         super().__init__(f"{field}: {message}")
 
 
+_COEFFICIENTS = sorted({slot for cls in STATE_TYPES.values() for slot in slots(cls)})
+
 _KEY_PATTERNS = [
-    r"state\.(class|a|b|c|d|a0|a1|a2|a4|a7)",
+    r"state\.(class|" + "|".join(_COEFFICIENTS) + ")",
     r"scenario\.register",
     r"scenario\.allow_overlap",
     r"scenario\.channels\[\d+\]\.(kind|qubits|rate)",
@@ -59,27 +52,6 @@ _KEY_RE = re.compile("^(" + "|".join(_KEY_PATTERNS) + ")$")
 
 OUTPUT_GROUPS = ("elements", "concurrence", "eof", "reduced", "timescales", "audit")
 DEFAULT_OUTPUTS = ("elements", "concurrence", "eof", "timescales", "audit")
-
-_STATE_FIELDS: dict[str, tuple[str, ...]] = {
-    "fragile": ("a", "b", "d"),
-    "fragile2": ("a", "c", "d"),
-    "robust": ("a", "b", "c"),
-    "robust2": ("b", "c", "d"),
-    "generic": ("a", "b", "c", "d"),
-    "w": ("a1", "a2", "a4"),
-    "ghz": ("a0", "a7"),
-}
-
-_STATE_BUILDERS = {
-    "fragile": Fragile,
-    "fragile2": Fragile2,
-    "robust": Robust,
-    "robust2": Robust2,
-    "generic": GenericPure,
-    "w": WState,
-    "ghz": GHZState,
-}
-
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Raw key -> value mapping; syntax errors only."""
@@ -174,17 +146,17 @@ def _as_list(raw: dict[str, str], key: str, default: tuple[str, ...]) -> tuple[s
 
 def state_from(raw: dict[str, str]) -> StateSpec:
     cls = _require(raw, "state.class").lower()
-    if cls not in _STATE_FIELDS:
-        known = ", ".join(_STATE_FIELDS)
+    if cls not in STATE_TYPES:
+        known = ", ".join(STATE_TYPES)
         raise ConfigValidationError("state.class", f"unknown class {cls!r}; known: {known}")
-    fields = _STATE_FIELDS[cls]
-    for letter in ("a", "b", "c", "d", "a0", "a1", "a2", "a4", "a7"):
-        if f"state.{letter}" in raw and letter not in fields:
+    expected = slots(STATE_TYPES[cls])
+    for key in raw:
+        slot = key.removeprefix("state.")
+        if key.startswith("state.") and slot != "class" and slot not in expected:
             raise ConfigValidationError(
-                f"state.{letter}", f"not a coefficient of class {cls!r} (expects {fields})"
+                key, f"not a coefficient of class {cls!r} (expects {expected})"
             )
-    coeffs = [_as_complex(raw, f"state.{letter}") for letter in fields]
-    return _STATE_BUILDERS[cls](*coeffs)
+    return STATE_TYPES[cls](*(_as_complex(raw, f"state.{slot}") for slot in expected))
 
 
 def scenario_from(raw: dict[str, str]) -> NoiseScenario:

@@ -32,19 +32,6 @@ def _as_matrix(rho) -> np.ndarray:
     return np.asarray(mat, dtype=complex)
 
 
-def spin_flip(rho) -> tuple[np.ndarray, np.ndarray]:
-    """Spin-flipped matrix and its product with the input.
-
-    Returns (rho_tilde, rho @ rho_tilde) with
-    rho_tilde = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y).
-    """
-    mat = _as_matrix(rho)
-    if mat.shape[-2:] != (4, 4):
-        raise ValueError(f"spin flip needs a 4x4 two-qubit matrix, got shape {mat.shape}")
-    tilde = SPIN_FLIP_MATRIX @ mat.conj() @ SPIN_FLIP_MATRIX
-    return tilde, mat @ tilde
-
-
 def _amplitude_factor(mat: np.ndarray) -> np.ndarray:
     """X with rho = X X^dagger; numerical-rank noise eigenvalues zeroed out."""
     w, v = np.linalg.eigh(mat)
@@ -68,11 +55,6 @@ def _sqrt_lambdas(rho) -> np.ndarray:
     x = _amplitude_factor(_as_matrix(rho))
     m = np.swapaxes(x, -1, -2) @ SPIN_FLIP_MATRIX @ x
     return np.linalg.svd(m, compute_uv=False)
-
-
-def wootters_lambdas(rho) -> np.ndarray:
-    """Eigenvalues of rho @ rho_tilde, descending, all nonnegative."""
-    return _sqrt_lambdas(rho) ** 2
 
 
 def concurrence(rho) -> ConcurrenceResult:

@@ -23,10 +23,19 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def qubit_bit(index: int, qubit: str, register: Sequence[str]) -> int:
-    """Bit of `qubit` in basis `index` for the given ordered register."""
-    pos = tuple(register).index(qubit)
-    return (index >> (len(register) - 1 - pos)) & 1
+def subspace_index(support: Sequence[str], register: Sequence[str]) -> np.ndarray:
+    """Index of every basis state of `register` within the subspace of `support`.
+
+    Entry i holds the bits of basis state i on the support qubits, read in
+    support order (first support qubit most significant).
+    """
+    register = tuple(register)
+    n = len(register)
+    basis = np.arange(1 << n)
+    index = np.zeros_like(basis)
+    for q in support:
+        index = (index << 1) | ((basis >> (n - 1 - register.index(q))) & 1)
+    return index
 
 
 def partial_trace(
@@ -67,21 +76,6 @@ def partial_trace(
         remaining -= 1
     d = 1 << len(keep_set)
     return work.reshape(batch + (d, d))
-
-
-def hermitian_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending.
-
-    Raises ValueError if the input deviates from Hermiticity by more than
-    `tol` in any entry.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    asym = np.max(np.abs(m - m.conj().T))
-    if asym > tol:
-        raise ValueError(f"matrix is not Hermitian (max asymmetry {asym:.3e})")
-    return np.linalg.eigvalsh(m)[::-1]
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -2,21 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channels import Local, NoiseScenario, PairCollective, TripleCollective
-from .states import (
-    Fragile,
-    Fragile2,
-    GenericPure,
-    GHZState,
-    Robust,
-    Robust2,
-    StateSpec,
-    WState,
-)
+from .states import STATE_TYPES, StateSpec, slots
 
 #: channel layout of each named scenario (register size, channel kinds).
 SCENARIO_LAYOUTS: dict[str, tuple[int, tuple]] = {
@@ -49,36 +40,16 @@ def _unit(rng: np.random.Generator, k: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-_DRAWS: dict[str, Callable[[np.random.Generator], StateSpec]] = {
-    "fragile": lambda rng: Fragile(*_unit(rng, 3)),
-    "fragile2": lambda rng: Fragile2(*_unit(rng, 3)),
-    "robust": lambda rng: Robust(*_unit(rng, 3)),
-    "robust2": lambda rng: Robust2(*_unit(rng, 3)),
-    "generic": lambda rng: GenericPure(*_unit(rng, 4)),
-    "w": lambda rng: WState(*_unit(rng, 3)),
-    "ghz": lambda rng: GHZState(*_unit(rng, 2)),
-}
-
-STATE_CLASSES = tuple(_DRAWS)
-
-#: register size of each state class.
-CLASS_REGISTER = {
-    "fragile": 2,
-    "fragile2": 2,
-    "robust": 2,
-    "robust2": 2,
-    "generic": 2,
-    "w": 3,
-    "ghz": 3,
-}
+STATE_CLASSES = tuple(STATE_TYPES)
 
 
 def draw_state(name: str, rng: np.random.Generator) -> StateSpec:
     """Random normalized coefficients for the named state class."""
-    if name not in _DRAWS:
-        known = ", ".join(_DRAWS)
+    if name not in STATE_TYPES:
+        known = ", ".join(STATE_TYPES)
         raise ValueError(f"unknown state class {name!r}; known: {known}")
-    return _DRAWS[name](rng)
+    cls = STATE_TYPES[name]
+    return cls(*_unit(rng, len(slots(cls))))
 
 
 #: the (class, scenario) combinations with published evolved matrices.

@@ -2,21 +2,24 @@
 
 Two-qubit classes live in the basis |1..4> = |++>, |+->, |-+>, |-->; the
 three-qubit classes in |1..8> = |000> .. |111> (A the leftmost factor in
-both).  ``analytic_evolved`` reproduces the published elementwise decay
-factors directly and serves as an independent reference for the Kraus
-evolution in :mod:`dephasim.channels`.
+both).  One table below defines the seven classes: each class's coefficient
+slots, the basis indices they sit on and its register; ``STATE_TYPES``
+indexes it by name.  ``analytic_evolved`` reproduces the published
+elementwise decay factors directly and serves as an independent reference
+for the Kraus evolution in :mod:`dephasim.channels`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import astuple, dataclass, fields, make_dataclass
+from itertools import combinations
+from typing import ClassVar
 
 import numpy as np
 
 from .channels import ChannelKind, Local, NoiseScenario, PairCollective, TripleCollective, gamma
 from .errors import UnsupportedScenarioError
-from .linalg import QUBITS, partial_trace, qubit_bit
+from .linalg import QUBITS, partial_trace, subspace_index
 
 NORMALIZATION_TOL = 1e-9
 
@@ -53,116 +56,78 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Fragile:
-    """Two-qubit class losing every coherence under collective dephasing."""
+class StateSpec:
+    """Pure state of one entanglement class, given by its coefficient slots.
 
-    a: complex
-    b: complex
-    d: complex
+    Each class is a frozen dataclass whose fields are its slots, with the
+    class name, the basis indices of the slots and the register attached.
+    """
 
-    name = "fragile"
-    register = ("A", "B")
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.a, self.b, 0.0, self.d], dtype=complex)
-
-
-@dataclass(frozen=True)
-class Fragile2:
-    """Mirror form of the fragile class (support on |1>, |3>, |4>)."""
-
-    a: complex
-    c: complex
-    d: complex
-
-    name = "fragile2"
-    register = ("A", "B")
+    name: ClassVar[str]
+    support: ClassVar[tuple[int, ...]]
+    register: ClassVar[tuple[str, ...]]
 
     def amplitudes(self) -> np.ndarray:
-        return np.array([self.a, 0.0, self.c, self.d], dtype=complex)
-
-
-@dataclass(frozen=True)
-class Robust:
-    """Two-qubit class keeping some coherence (and all entanglement) under collective dephasing."""
-
-    a: complex
-    b: complex
-    c: complex
-
-    name = "robust"
-    register = ("A", "B")
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, 0.0], dtype=complex)
-
-
-@dataclass(frozen=True)
-class Robust2:
-    """Mirror form of the robust class (support on |2>, |3>, |4>)."""
-
-    b: complex
-    c: complex
-    d: complex
-
-    name = "robust2"
-    register = ("A", "B")
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([0.0, self.b, self.c, self.d], dtype=complex)
-
-
-@dataclass(frozen=True)
-class GenericPure:
-    """Arbitrary two-qubit pure state."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    name = "generic"
-    register = ("A", "B")
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d], dtype=complex)
-
-
-@dataclass(frozen=True)
-class WState:
-    """Three-qubit W class: support on |001>, |010>, |100>."""
-
-    a1: complex
-    a2: complex
-    a4: complex
-
-    name = "w"
-    register = ("A", "B", "C")
-
-    def amplitudes(self) -> np.ndarray:
-        v = np.zeros(8, dtype=complex)
-        v[1], v[2], v[4] = self.a1, self.a2, self.a4
+        v = np.zeros(1 << len(self.register), dtype=complex)
+        v[list(self.support)] = astuple(self)
         return v
 
 
-@dataclass(frozen=True)
-class GHZState:
-    """Three-qubit GHZ class: support on |000> and |111>."""
+def _state_class(
+    type_name: str, name: str, slot_names: str, support: tuple[int, ...], n_qubits: int, doc: str
+):
+    return make_dataclass(
+        type_name,
+        [(slot, complex) for slot in slot_names.split()],
+        bases=(StateSpec,),
+        frozen=True,
+        namespace={
+            "__doc__": doc,
+            "__module__": __name__,
+            "name": name,
+            "support": support,
+            "register": QUBITS[:n_qubits],
+        },
+    )
 
-    a0: complex
-    a7: complex
 
-    name = "ghz"
-    register = ("A", "B", "C")
+# The seven classes: slots, the (0-based) basis indices they sit on, register size.
+Fragile = _state_class(
+    "Fragile", "fragile", "a b d", (0, 1, 3), 2,
+    "Two-qubit class losing every coherence under collective dephasing.",
+)
+Fragile2 = _state_class(
+    "Fragile2", "fragile2", "a c d", (0, 2, 3), 2,
+    "Mirror form of the fragile class (support on |1>, |3>, |4>).",
+)
+Robust = _state_class(
+    "Robust", "robust", "a b c", (0, 1, 2), 2,
+    "Two-qubit class keeping some coherence (and all entanglement) under collective dephasing.",
+)
+Robust2 = _state_class(
+    "Robust2", "robust2", "b c d", (1, 2, 3), 2,
+    "Mirror form of the robust class (support on |2>, |3>, |4>).",
+)
+GenericPure = _state_class(
+    "GenericPure", "generic", "a b c d", (0, 1, 2, 3), 2, "Arbitrary two-qubit pure state."
+)
+WState = _state_class(
+    "WState", "w", "a1 a2 a4", (1, 2, 4), 3,
+    "Three-qubit W class: support on |001>, |010>, |100>.",
+)
+GHZState = _state_class(
+    "GHZState", "ghz", "a0 a7", (0, 7), 3, "Three-qubit GHZ class: support on |000> and |111>."
+)
 
-    def amplitudes(self) -> np.ndarray:
-        v = np.zeros(8, dtype=complex)
-        v[0], v[7] = self.a0, self.a7
-        return v
+#: every state class by name, in the order the CLI and presets list them.
+STATE_TYPES: dict[str, type[StateSpec]] = {
+    cls.name: cls for cls in (Fragile, Fragile2, Robust, Robust2, GenericPure, WState, GHZState)
+}
 
 
-StateSpec = Union[Fragile, Fragile2, Robust, Robust2, GenericPure, WState, GHZState]
+def slots(cls: type[StateSpec]) -> tuple[str, ...]:
+    """Coefficient slots of a state class, in constructor order."""
+    return tuple(f.name for f in fields(cls))
 
 
 def projector(spec: StateSpec) -> DensityMatrix:
@@ -175,8 +140,7 @@ def projector(spec: StateSpec) -> DensityMatrix:
 
 
 def _local_factor(qubit: str, register: tuple[str, ...], g: float) -> np.ndarray:
-    dim = 1 << len(register)
-    bits = np.array([qubit_bit(i, qubit, register) for i in range(dim)])
+    bits = subspace_index((qubit,), register)
     return np.where(bits[:, None] != bits[None, :], g, 1.0)
 
 
@@ -195,13 +159,7 @@ def _pair_table(g: float) -> np.ndarray:
 
 
 def _pair_factor(kind: PairCollective, register: tuple[str, ...], g: float) -> np.ndarray:
-    dim = 1 << len(register)
-    sub = np.array(
-        [
-            (qubit_bit(i, kind.first, register) << 1) | qubit_bit(i, kind.second, register)
-            for i in range(dim)
-        ]
-    )
+    sub = subspace_index(kind.support, register)
     return _pair_table(g)[sub[:, None], sub[None, :]]
 
 
@@ -247,17 +205,20 @@ def analytic_evolved(spec: StateSpec, scenario: NoiseScenario, t: float) -> Dens
     return DensityMatrix(rho0.matrix * factor, spec.register)
 
 
+def qubit_pairs(register: tuple[str, ...]) -> list[tuple[str, str]]:
+    """Every qubit pair of the register, in A < B < C order."""
+    return list(combinations(register, 2))
+
+
+def reduced_subsets(register: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """Kept qubits of every one-qubit and, below the full register, two-qubit reduction."""
+    singles = [(q,) for q in register]
+    return singles + qubit_pairs(register) if len(register) == 3 else singles
+
+
 def reduced_all(rho: DensityMatrix) -> dict[tuple[str, ...], DensityMatrix]:
     """Every one- and two-qubit reduced matrix of `rho`, keyed by kept qubits."""
-    n = len(rho.register)
-    subsets: list[tuple[str, ...]] = [(q,) for q in rho.register]
-    if n == 3:
-        subsets += [
-            (rho.register[0], rho.register[1]),
-            (rho.register[0], rho.register[2]),
-            (rho.register[1], rho.register[2]),
-        ]
     return {
         keep: DensityMatrix(partial_trace(rho.matrix, keep, rho.register), keep)
-        for keep in subsets
+        for keep in reduced_subsets(rho.register)
     }

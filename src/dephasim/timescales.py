@@ -19,7 +19,7 @@ from .channels import Local, NoiseScenario, PairCollective, TripleCollective, ev
 from .entanglement import concurrence_curve
 from .errors import UnsupportedScenarioError
 from .linalg import partial_trace
-from .states import StateSpec, projector
+from .states import StateSpec, projector, qubit_pairs
 
 #: trajectory samples at or below this magnitude are treated as exact zeros.
 ZERO_FLOOR = 1e-13
@@ -276,17 +276,8 @@ def _fit_offdiagonals(stack: np.ndarray, times: np.ndarray, prefix: str = "") ->
 
 
 def sample_evolution(spec: StateSpec, scenario: NoiseScenario, grid: TimeGrid) -> np.ndarray:
-    """Operator-sum evolution of `spec` over the grid; shape (T, dim, dim)."""
-    rho0 = projector(spec).matrix
-    return np.stack([evolve(rho0, scenario, t) for t in grid.times])
-
-
-def _pairs(register: tuple[str, ...]) -> list[tuple[str, str]]:
-    return [
-        (register[i], register[j])
-        for i in range(len(register))
-        for j in range(i + 1, len(register))
-    ]
+    """Evolution of `spec` over the grid, rho0 * exp(-t E) in one broadcast; shape (T, dim, dim)."""
+    return evolve(projector(spec).matrix, scenario, grid.times[:, None, None])
 
 
 def build_report(
@@ -311,7 +302,7 @@ def build_report(
     for q in register:
         red = partial_trace(stack, (q,), register)
         reduced_fits.update(_fit_offdiagonals(red, times, prefix=f"{q}:"))
-    for pair in _pairs(register):
+    for pair in qubit_pairs(register):
         label = "".join(pair)
         red = stack if len(register) == 2 else partial_trace(stack, pair, register)
         pair_stacks[label] = red

@@ -14,6 +14,7 @@ from dephasim.channels import (
     build_local_kraus,
     build_pair_collective_kraus,
     build_triple_collective_kraus,
+    decay_exponents,
     evolve,
     gamma,
     kraus_for,
@@ -237,6 +238,79 @@ def test_dagger_convention_equivalence():
         left = sum(k @ rho @ k.conj().T for k in ks.operators)
         right = sum(k.conj().T @ rho @ k for k in ks.operators)
         assert np.max(np.abs(left - right)) < 1e-15
+
+
+def random_kind(rng, register_size):
+    labels = list("ABC"[:register_size])
+    shape = int(rng.integers(0, 3 if register_size == 3 else 2))
+    if shape == 0:
+        return Local(str(rng.choice(labels)))
+    if shape == 1:
+        first, second = rng.choice(labels, size=2, replace=False)
+        return PairCollective(str(first), str(second))
+    return TripleCollective()
+
+
+def random_wide_scenario(rng, allow_overlap):
+    """Random channels with log-uniform rates in [1e-3, 1e3]; overlapping if allowed."""
+    if not allow_overlap:
+        scenario = random_scenario(rng)
+        kinds = [kind for kind, _ in scenario.channels]
+        n = scenario.register_size
+    else:
+        n = int(rng.choice([2, 3]))
+        kinds = [random_kind(rng, n) for _ in range(int(rng.integers(2, 5)))]
+    rates = 10.0 ** rng.uniform(-3.0, 3.0, size=len(kinds))
+    return NoiseScenario(n, tuple(zip(kinds, rates)), allow_overlap=allow_overlap)
+
+
+def test_evolve_matches_sequential_kraus_at_wide_rates():
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        scenario = random_wide_scenario(rng, allow_overlap=trial % 2 == 1)
+        rho = random_density(rng, scenario.register_size)
+        t_max = 3.0 / scenario.min_rate
+        # the grid ends, random times, and each channel's own e-folding scale
+        e_folds = [1.0 / rate for _, rate in scenario.channels]
+        for t in (0.0, t_max, *rng.uniform(0.0, t_max, size=4), *e_folds):
+            sequential = rho
+            for kind, rate in scenario.channels:
+                sequential = apply_kraus(sequential, kraus_for(kind, scenario.register_size, rate, t))
+            assert np.max(np.abs(evolve(rho, scenario, t) - sequential)) <= 1e-12, (scenario, t)
+
+
+def test_decay_exponents_finite_and_zero_for_idle_channels():
+    rng = np.random.default_rng(14)
+    for trial in range(60):
+        scenario = random_wide_scenario(rng, allow_overlap=trial % 2 == 1)
+        exponents = decay_exponents(scenario)
+        assert np.all(np.isfinite(exponents)) and np.min(exponents) >= 0.0
+        assert np.all(np.diag(exponents) == 0.0)
+        idle = NoiseScenario(
+            scenario.register_size,
+            tuple((kind, 0.0) for kind, _ in scenario.channels),
+            allow_overlap=scenario.allow_overlap,
+        )
+        assert np.all(decay_exponents(idle) == 0.0)
+    # a rate-0 channel leaves the exponents of the others unchanged
+    busy = ((Local("A"), 37.0), (PairCollective("B", "C"), 0.1))
+    with_idle = NoiseScenario(3, busy + ((TripleCollective(), 0.0),), allow_overlap=True)
+    assert np.array_equal(decay_exponents(with_idle), decay_exponents(NoiseScenario(3, busy)))
+
+
+def test_decay_exponents_of_the_paper_channels():
+    # coherence decays at rate/2 per flipped local qubit; the collective
+    # corners |0..0><1..1| at 2 rate, the singlet-like |01><10| not at all
+    assert np.array_equal(
+        decay_exponents(NoiseScenario(2, ((Local("A"), 3.0),))),
+        np.array([[0, 0, 1.5, 1.5], [0, 0, 1.5, 1.5], [1.5, 1.5, 0, 0], [1.5, 1.5, 0, 0]]),
+    )
+    pair = decay_exponents(NoiseScenario(2, ((PairCollective("A", "B"), 1.0),)))
+    expected = [[0, 0.5, 0.5, 2], [0.5, 0, 0, 0.5], [0.5, 0, 0, 0.5], [2, 0.5, 0.5, 0]]
+    assert np.allclose(pair, expected, rtol=1e-15, atol=0)
+    assert pair[1, 2] == 0.0
+    triple = decay_exponents(NoiseScenario(3, ((TripleCollective(), 1.0),)))
+    assert abs(triple[0, 7] - 2.0) < 1e-15 and triple[1, 2] == triple[3, 5] == 0.0
 
 
 def test_evolve_identity_at_t_zero():

@@ -9,8 +9,6 @@ from dephasim.entanglement import (
     concurrence,
     concurrence_curve,
     entanglement_of_formation,
-    spin_flip,
-    wootters_lambdas,
 )
 from dephasim.linalg import partial_trace
 from dephasim.presets import draw_state, named_scenario
@@ -27,29 +25,31 @@ def random_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def spin_flipped(rho):
+    """(sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
+    return SPIN_FLIP_MATRIX @ np.conj(rho) @ SPIN_FLIP_MATRIX
+
+
 def test_spin_flip_bell_state_is_fixed_point():
-    tilde, product = spin_flip(BELL)
-    assert np.max(np.abs(tilde - BELL)) < 1e-15
-    assert np.max(np.abs(product - BELL)) < 1e-15
+    assert np.max(np.abs(spin_flipped(BELL) - BELL)) < 1e-15
+    # rho @ rho_tilde = BELL, a projector: Wootters eigenvalues (1, 0, 0, 0)
+    assert np.max(np.abs(np.array(concurrence(BELL).lambdas) - [1.0, 0.0, 0.0, 0.0])) < 1e-15
 
 
 def test_spin_flip_diagonal_input():
     p = np.array([0.4, 0.3, 0.2, 0.1])
-    _, product = spin_flip(np.diag(p).astype(complex))
-    expected = np.diag([p[0] * p[3], p[1] * p[2], p[2] * p[1], p[3] * p[0]])
-    assert np.max(np.abs(product - expected)) < 1e-15
+    product = np.diag(p) @ spin_flipped(np.diag(p))
+    expected = [p[0] * p[3], p[1] * p[2], p[2] * p[1], p[3] * p[0]]
+    assert np.max(np.abs(product - np.diag(expected))) < 1e-15
+    lambdas = concurrence(np.diag(p).astype(complex)).lambdas
+    assert np.max(np.abs(np.array(lambdas) - sorted(expected, reverse=True))) < 1e-15
 
 
 def test_spin_flip_product_state_gives_zero_product():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    _, product = spin_flip(rho)
-    assert np.max(np.abs(product)) == 0.0
-
-
-def test_spin_flip_rejects_wrong_dimension():
-    with pytest.raises(ValueError):
-        spin_flip(np.eye(8) / 8)
+    assert np.max(np.abs(rho @ spin_flipped(rho))) == 0.0
+    assert concurrence(rho).lambdas == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_spin_flip_matrix_is_antidiagonal():
@@ -125,10 +125,9 @@ def test_lambdas_match_brute_force_eigensolve():
     for _ in range(20):
         spec = draw_state("generic", rng)
         rho = evolve(projector(spec).matrix, scenario, float(rng.uniform(0, 2)))
-        lam = wootters_lambdas(rho)
+        lam = np.array(concurrence(rho).lambdas)
         assert np.all(np.diff(lam) <= 1e-12)
-        _, product = spin_flip(rho)
-        brute = np.sort(np.abs(np.linalg.eigvals(product)))[::-1]
+        brute = np.sort(np.abs(np.linalg.eigvals(rho @ spin_flipped(rho))))[::-1]
         assert np.max(np.abs(lam - brute)) < 1e-8
 
 

@@ -6,9 +6,9 @@ import pytest
 from dephasim.linalg import (
     PAULI_Y,
     frobenius_distance,
-    hermitian_eigenvalues,
     kron,
     partial_trace,
+    subspace_index,
 )
 
 I2 = np.eye(2)
@@ -91,31 +91,17 @@ def test_partial_trace_rejects_bad_keep():
         partial_trace(np.eye(8) / 8, {"A"}, ("A", "B"))
 
 
-def test_hermitian_eigenvalues_diagonal_cases():
-    assert np.allclose(hermitian_eigenvalues(np.diag([0.7, 0.3])), [0.7, 0.3])
-    assert np.allclose(hermitian_eigenvalues(I2 / 2), [0.5, 0.5])
-
-
-def test_hermitian_eigenvalues_sorted_descending():
-    rng = np.random.default_rng(14)
-    rho = random_density(rng, 3)
-    vals = hermitian_eigenvalues(rho)
-    assert np.all(np.diff(vals) <= 0)
-    assert abs(np.sum(vals) - 1.0) < 1e-10
-
-
-def test_hermitian_eigenvalues_bell_product():
-    # rho @ rho_tilde equals rho itself for this Bell projector
-    v = np.array([1, 0, 0, 1]) / math.sqrt(2)
-    rho = np.outer(v, v.conj())
-    vals = hermitian_eigenvalues(rho)
-    assert np.max(np.abs(vals - np.array([1.0, 0.0, 0.0, 0.0]))) < 1e-12
-
-
-def test_hermitian_eigenvalues_rejects_asymmetric():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
+def test_subspace_index_reads_support_bits_in_support_order():
+    abc = ("A", "B", "C")
+    assert subspace_index(("A",), abc).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert subspace_index(("C",), abc).tolist() == [0, 1, 0, 1, 0, 1, 0, 1]
+    assert subspace_index(("A", "C"), abc).tolist() == [0, 1, 0, 1, 2, 3, 2, 3]
+    assert subspace_index(("C", "A"), abc).tolist() == [0, 2, 0, 2, 1, 3, 1, 3]
+    assert subspace_index(abc, abc).tolist() == list(range(8))
+    assert subspace_index(("B",), ("A", "B")).tolist() == [0, 1, 0, 1]
+    assert subspace_index((), ("A", "B")).tolist() == [0, 0, 0, 0]
     with pytest.raises(ValueError):
-        hermitian_eigenvalues(m)
+        subspace_index(("C",), ("A", "B"))
 
 
 def test_frobenius_distance_values():

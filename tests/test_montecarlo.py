@@ -11,11 +11,10 @@ from dephasim.montecarlo import (
     TrajectoryConfig,
     compare_to_channel,
     fields_from_scenario,
-    simulate_average,
     simulate_statistics,
 )
 from dephasim.presets import draw_state, named_scenario
-from dephasim.states import DensityMatrix, Fragile, GenericPure, GHZState, projector
+from dephasim.states import Fragile, GenericPure, GHZState, projector
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
@@ -34,9 +33,9 @@ def test_config_validation():
 def test_zero_fields_returns_input_exactly():
     rho = projector(GenericPure(0.5, 0.5, 0.5, 0.5))
     cfg = TrajectoryConfig(50, 0.1, 123, 1.0)
-    out = simulate_average(rho, (), cfg)
-    assert isinstance(out, DensityMatrix)
-    assert np.array_equal(out.matrix, rho.matrix)
+    stats = simulate_statistics(rho, (), cfg)
+    assert np.array_equal(stats.mean, rho.matrix)
+    assert not stats.var_re.any() and not stats.var_im.any()
 
 
 def test_single_qubit_coherence_decays_to_gamma():
@@ -54,8 +53,8 @@ def test_diagonal_is_preserved_exactly():
     spec = draw_state("generic", rng)
     rho = projector(spec)
     cfg = TrajectoryConfig(200, 0.05, 5, 0.7)
-    out = simulate_average(rho, fields_from_scenario(named_scenario("2q-collective", 1.0)), cfg)
-    assert np.array_equal(np.diag(out.matrix), np.diag(rho.matrix))
+    stats = simulate_statistics(rho, fields_from_scenario(named_scenario("2q-collective", 1.0)), cfg)
+    assert np.array_equal(np.diag(stats.mean), np.diag(rho.matrix))
 
 
 def test_same_seed_is_bit_identical():
@@ -99,7 +98,7 @@ def test_fragment_pattern_under_pair_collective():
 def test_support_outside_register_is_rejected():
     cfg = TrajectoryConfig(10, 0.1, 1, 1.0)
     with pytest.raises(ValueError, match="support"):
-        simulate_average(PLUS, (FieldSpec(PairCollective("A", "B"), 1.0),), cfg)
+        simulate_statistics(PLUS, (FieldSpec(PairCollective("A", "B"), 1.0),), cfg)
 
 
 def test_compare_local_channel_passes():
@@ -134,6 +133,9 @@ def test_compare_triple_collective_forced_reports_divergence():
     g = gamma(1.0, 1.0)
     assert abs(entry["stochastic_factor"] - g**9) < 1e-12
     assert abs(entry["channel_factor"] - g**4) < 1e-12
+    # at unit rate and time: exp(-9/2) from phase diffusion, exp(-2) from the operators
+    assert abs(entry["stochastic_factor"] - math.exp(-4.5)) < 1e-12
+    assert abs(entry["channel_factor"] - math.exp(-2.0)) < 1e-12
 
 
 def test_convergence_scales_as_inverse_sqrt_n():

@@ -8,15 +8,55 @@ from dephasim.errors import UnsupportedScenarioError
 from dephasim.linalg import frobenius_distance
 from dephasim.presets import PAPER_MATRIX, draw_state, named_scenario
 from dephasim.states import (
+    STATE_TYPES,
     DensityMatrix,
     Fragile,
     GHZState,
+    WState,
     analytic_evolved,
     projector,
     reduced_all,
+    slots,
 )
 
 RNG = np.random.default_rng(2024)
+
+
+def test_state_class_table():
+    # slots and the 1-based basis states they sit on, as tabulated in the README
+    expected = {
+        "fragile": (("a", "b", "d"), (1, 2, 4), 2),
+        "fragile2": (("a", "c", "d"), (1, 3, 4), 2),
+        "robust": (("a", "b", "c"), (1, 2, 3), 2),
+        "robust2": (("b", "c", "d"), (2, 3, 4), 2),
+        "generic": (("a", "b", "c", "d"), (1, 2, 3, 4), 2),
+        "w": (("a1", "a2", "a4"), (2, 3, 5), 3),
+        "ghz": (("a0", "a7"), (1, 8), 3),
+    }
+    assert list(STATE_TYPES) == list(expected)
+    for name, (names, basis, n_qubits) in expected.items():
+        cls = STATE_TYPES[name]
+        assert cls.name == name and slots(cls) == names
+        assert cls.register == ("A", "B", "C")[:n_qubits]
+        coeffs = [complex(k + 1, -k) for k in range(len(names))]
+        v = cls(*coeffs).amplitudes()
+        assert v.shape == (1 << n_qubits,)
+        assert [i + 1 for i in np.flatnonzero(v)] == list(basis)
+        assert v[[b - 1 for b in basis]].tolist() == coeffs
+    assert WState(a1=0.6, a2=0.8, a4=0) == WState(0.6, 0.8, 0)
+    with pytest.raises(AttributeError):
+        WState(0.6, 0.8, 0).a1 = 1.0  # frozen
+
+
+def test_draws_take_two_gaussians_per_slot():
+    # seeded sweeps and paper-tables draws depend on this count
+    counts = {"fragile": 3, "fragile2": 3, "robust": 3, "robust2": 3, "generic": 4, "w": 3, "ghz": 2}
+    for name, k in counts.items():
+        drawn, reference = np.random.default_rng(9), np.random.default_rng(9)
+        spec = draw_state(name, drawn)
+        v = reference.normal(size=k) + 1j * reference.normal(size=k)
+        assert np.array_equal(spec.amplitudes()[list(spec.support)], v / np.linalg.norm(v))
+        assert drawn.normal() == reference.normal()
 
 
 def test_fragile_projector_layout():
