@@ -49,8 +49,8 @@ from .montecarlo import (
 )
 from .presets import (
     PAPER_MATRIX,
+    PAPER_TAUS,
     SCENARIO_LAYOUTS,
-    STATE_CLASSES,
     draw_state,
     named_scenario,
 )

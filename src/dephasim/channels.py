@@ -131,8 +131,8 @@ class NoiseScenario:
         register = set(self.register)
         seen: list[str] = []
         for kind, rate in self.channels:
-            if rate < 0:
-                raise ValueError(f"channel rate must be nonnegative, got {rate}")
+            if not 0 <= rate < math.inf:
+                raise ValueError(f"channel rate must be finite and nonnegative, got {rate}")
             outside = set(kind.support) - register
             if outside:
                 raise ValueError(

@@ -2,7 +2,7 @@
 
 All outputs are deterministic byte-for-byte for a given config (and seed):
 no timestamps, shortest round-trip float formatting, fixed column orders.
-Files are written to a temporary name and renamed into place on success.
+Files are written to a unique temporary name and renamed into place on success.
 
 Exit codes: 0 success, 1 check failed, 2 config parse error, 3 validation
 error, 4 I/O error, 5 stochastic-oracle equivalence not established.
@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
@@ -71,10 +72,19 @@ FIT_TOL = 0.01
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a uniquely named temp file beside `path`, then rename it into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; keep a plain write's mode
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _jsonable(obj):
@@ -301,7 +311,6 @@ def cmd_run(args) -> int:
             f"state class {spec.name!r} needs a {len(spec.register)}-qubit register",
         )
     grid = grid_from(raw, scenario)
-    projector(spec)  # validates normalization before any file is written
 
     columns = _trajectory_columns(spec, scenario, grid, opts.outputs)
     written = [_write_trajectory(columns, opts)]

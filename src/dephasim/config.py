@@ -7,6 +7,7 @@ blank lines ignored.  Complex coefficients are written as `re, im` pairs
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,8 +15,8 @@ from typing import Optional
 
 from .channels import Local, NoiseScenario, PairCollective, TripleCollective
 from .montecarlo import TrajectoryConfig
-from .presets import SCENARIO_LAYOUTS, STATE_CLASSES
-from .states import STATE_TYPES, StateSpec, slots
+from .presets import SCENARIO_LAYOUTS
+from .states import STATE_TYPES, StateSpec, projector, slots
 from .timescales import TimeGrid, default_grid
 
 
@@ -95,9 +96,12 @@ def _as_float(raw: dict[str, str], key: str, default: Optional[float] = None) ->
             raise ConfigValidationError(key, "required key is missing")
         return default
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError:
         raise ConfigValidationError(key, f"not a number: {raw[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigValidationError(key, f"must be finite, got {raw[key]!r}")
+    return value
 
 
 def _as_int(raw: dict[str, str], key: str, default: Optional[int] = None) -> int:
@@ -135,6 +139,12 @@ def _as_complex(raw: dict[str, str], key: str) -> complex:
     return complex(re_part, im_part)
 
 
+def _field_error(exc: ValueError, keys: dict[str, str]) -> ConfigValidationError:
+    """A constructor's error under the config key of the field its message starts with."""
+    message = str(exc)
+    return ConfigValidationError(keys[message.split()[0]], message)
+
+
 def _as_list(raw: dict[str, str], key: str, default: tuple[str, ...]) -> tuple[str, ...]:
     if key not in raw:
         return default
@@ -156,7 +166,12 @@ def state_from(raw: dict[str, str]) -> StateSpec:
             raise ConfigValidationError(
                 key, f"not a coefficient of class {cls!r} (expects {expected})"
             )
-    return STATE_TYPES[cls](*(_as_complex(raw, f"state.{slot}") for slot in expected))
+    spec = STATE_TYPES[cls](*(_as_complex(raw, f"state.{slot}") for slot in expected))
+    try:
+        projector(spec)
+    except ValueError as exc:
+        raise ConfigValidationError(", ".join(f"state.{slot}" for slot in expected), str(exc)) from None
+    return spec
 
 
 def scenario_from(raw: dict[str, str]) -> NoiseScenario:
@@ -219,7 +234,7 @@ def grid_from(raw: dict[str, str], scenario: NoiseScenario) -> TimeGrid:
     try:
         return TimeGrid(t_max, samples)
     except ValueError as exc:
-        raise ConfigValidationError("grid.t_max", str(exc)) from None
+        raise _field_error(exc, {"t_max": "grid.t_max", "n_samples": "grid.samples"}) from None
 
 
 def mc_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Optional[TrajectoryConfig]:
@@ -232,7 +247,8 @@ def mc_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Optiona
     try:
         return TrajectoryConfig(n_trajectories=n, dt=dt, seed=seed, t_final=t_final)
     except ValueError as exc:
-        raise ConfigValidationError("mc.dt", str(exc)) from None
+        keys = {"n_trajectories": "mc.trajectories", "dt": "mc.dt", "t_final": "mc.t"}
+        raise _field_error(exc, keys) from None
 
 
 @dataclass(frozen=True)
@@ -251,7 +267,7 @@ def sweep_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Swee
     seed = seed_override if seed_override is not None else _as_int(raw, "sweep.seed", 0)
     classes = _as_list(raw, "sweep.classes", ("fragile", "robust", "w", "ghz"))
     for cls in classes:
-        if cls not in STATE_CLASSES:
+        if cls not in STATE_TYPES:
             raise ConfigValidationError("sweep.classes", f"unknown class {cls!r}")
     scenarios = _as_list(raw, "sweep.scenarios", tuple(sorted(SCENARIO_LAYOUTS)))
     for name in scenarios:

@@ -56,10 +56,10 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be at least 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
         if self.dt > self.t_final:
             raise ValueError("dt must not exceed t_final")
 

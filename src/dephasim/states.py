@@ -21,7 +21,9 @@ from .channels import ChannelKind, Local, NoiseScenario, PairCollective, TripleC
 from .errors import UnsupportedScenarioError
 from .linalg import QUBITS, partial_trace, subspace_index
 
-NORMALIZATION_TOL = 1e-9
+#: largest deviation of a density matrix's trace from 1 (and so of a pure
+#: state's sum |c|^2) that projector and DensityMatrix accept.
+NORMALIZATION_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +48,9 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {mat.shape} does not match register {self.register}")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
             raise ValueError("matrix is not Hermitian within 1e-12")
-        if abs(np.trace(mat).real - 1.0) > 1e-12 or abs(np.trace(mat).imag) > 1e-12:
-            raise ValueError(f"trace is {np.trace(mat):.15g}, expected 1")
+        trace = np.trace(mat)
+        if abs(trace.real - 1.0) > NORMALIZATION_TOL or abs(trace.imag) > NORMALIZATION_TOL:
+            raise ValueError(f"trace is {trace:.15g}, expected 1")
         if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
             raise ValueError("matrix has an eigenvalue below -1e-10")
 
@@ -133,10 +136,11 @@ def slots(cls: type[StateSpec]) -> tuple[str, ...]:
 def projector(spec: StateSpec) -> DensityMatrix:
     """Rank-1 density matrix of the pure state described by `spec`."""
     v = spec.amplitudes()
-    norm_sq = float(np.sum(np.abs(v) ** 2))
-    if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"coefficients are not normalized: sum |c|^2 = {norm_sq:.12g}")
-    return DensityMatrix(np.outer(v, v.conj()), spec.register)
+    rho = np.outer(v, v.conj())
+    norm_sq = float(np.trace(rho).real)  # the trace DensityMatrix checks
+    if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:
+        raise ValueError(f"coefficients are not normalized: sum |c|^2 = {norm_sq:.17g}")
+    return DensityMatrix(rho, spec.register)
 
 
 def _local_factor(qubit: str, register: tuple[str, ...], g: float) -> np.ndarray:

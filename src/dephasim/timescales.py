@@ -15,10 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import Local, NoiseScenario, PairCollective, TripleCollective, evolve
+from .channels import NoiseScenario, evolve
 from .entanglement import concurrence_curve
 from .errors import UnsupportedScenarioError
-from .linalg import partial_trace
+from .linalg import QUBITS, partial_trace
+from .presets import PAPER_TAUS, scenario_layout
 from .states import StateSpec, projector, qubit_pairs
 
 #: trajectory samples at or below this magnitude are treated as exact zeros.
@@ -36,10 +37,10 @@ class TimeGrid:
     n_samples: int = 64
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if self.n_samples < 8:
-            raise ValueError(f"need at least 8 samples, got {self.n_samples}")
+            raise ValueError(f"n_samples must be at least 8, got {self.n_samples}")
 
     @property
     def times(self) -> np.ndarray:
@@ -137,113 +138,24 @@ class PaperTau:
         return abs(self.printed - self.fitted_equiv) <= 1e-12 * max(1.0, self.printed)
 
 
-def _scenario_shape(scenario: NoiseScenario):
-    if scenario.allow_overlap:
-        return None  # overridden scenarios are outside the published tables
-    kinds = [k for k, _ in scenario.channels]
-    rates = [r for _, r in scenario.channels]
-    if any(r <= 0 for r in rates):
-        return None
-    n = scenario.register_size
-    if n == 2 and len(kinds) == 1 and isinstance(kinds[0], PairCollective):
-        return ("2q-collective", rates[0])
-    if n != 3:
-        return None
-    if len(kinds) == 1:
-        if isinstance(kinds[0], Local):
-            return ("local", rates[0])
-        if isinstance(kinds[0], PairCollective):
-            return ("pair", rates[0])
-        if isinstance(kinds[0], TripleCollective):
-            return ("triple", rates[0])
-    if len(kinds) == 3 and all(isinstance(k, Local) for k in kinds):
-        if len({k.qubit for k in kinds}) == 3 and len(set(rates)) == 1:
-            return ("multi-local", rates[0])
-    if len(kinds) == 2:
-        locals_ = [i for i, k in enumerate(kinds) if isinstance(k, Local)]
-        pairs = [i for i, k in enumerate(kinds) if isinstance(k, PairCollective)]
-        if len(locals_) == 1 and len(pairs) == 1:
-            return ("local+pair", rates[locals_[0]], rates[pairs[0]])
-    return None
-
-
 def paper_tau_table(state_class: str, scenario: NoiseScenario) -> tuple[PaperTau, ...]:
     """Published timescales for a state class under a recognized scenario."""
     cls = {"fragile2": "fragile", "robust2": "robust"}.get(state_class, state_class)
-    shape = _scenario_shape(scenario)
-    if shape is None:
+    layout = scenario_layout(scenario)
+    rows = PAPER_TAUS.get((cls, layout[0])) if layout else None
+    if rows is None:
         raise UnsupportedScenarioError(
-            f"no published timescales for scenario {scenario.label!r}"
+            f"no published timescales for class {state_class!r} under {scenario.label!r}"
         )
-    kind = shape[0]
-    if cls in ("fragile", "robust"):
-        if kind != "2q-collective":
-            raise UnsupportedScenarioError(
-                f"no published timescales for class {state_class!r} under {scenario.label!r}"
-            )
-        g = shape[1]
-        if cls == "fragile":
-            return (
-                PaperTau("2-dec-slow", 2.0 / g, "element", 2.0 / g),
-                PaperTau("2-dec-fast", 0.5 / g, "element", 0.5 / g),
-                PaperTau("1-dec", 1.0 / g, "element", 2.0 / g),
-                PaperTau("dis", 0.5 / g, "C", 0.5 / g),
-            )
-        return (
-            PaperTau("2-dec", 2.0 / g, "element", 2.0 / g),
-            PaperTau("1-dec", 1.0 / g, "element", 2.0 / g),
+    rates = layout[1]
+    return tuple(
+        PaperTau(
+            label,
+            sum(a / r for a, r in zip(printed, rates)),
+            convention,
+            implied / sum(w * r for w, r in zip(weights, rates)),
         )
-    if cls == "w":
-        if kind == "local":
-            g = shape[1]
-            return (
-                PaperTau("3-dec", 2.0 / g, "element", 2.0 / g),
-                PaperTau("2-dec", 2.0 / g, "element", 2.0 / g),
-                PaperTau("dis", 1.0 / g, "C2", 1.0 / g),
-            )
-        if kind == "pair":
-            g = shape[1]
-            return (
-                PaperTau("3-dec", 2.0 / g, "element", 2.0 / g),
-                PaperTau("2-dec", 2.0 / g, "element", 2.0 / g),
-                PaperTau("dis", 1.0 / g, "C2", 1.0 / g),
-            )
-        if kind == "triple":
-            return ()
-        if kind == "multi-local":
-            g = shape[1]
-            return (
-                PaperTau("3-dec", 1.0 / g, "element", 1.0 / g),
-                PaperTau("2-dec", 1.0 / g, "element", 1.0 / g),
-                PaperTau("dis", 0.5 / g, "C2", 0.5 / g),
-            )
-        if kind == "local+pair":
-            g1, g2 = shape[1], shape[2]
-            return (
-                PaperTau("3-dec", 2.0 / g1 + 2.0 / g2, "element", 2.0 / (g1 + g2)),
-                PaperTau("2-dec", 2.0 / g1 + 2.0 / g2, "element", 2.0 / (g1 + g2)),
-                PaperTau("dis", 1.0 / g1 + 1.0 / g2, "C2", 1.0 / (g1 + g2)),
-            )
-    if cls == "ghz":
-        if kind == "local":
-            g = shape[1]
-            return (PaperTau("3-dec", 2.0 / g, "element", 2.0 / g),)
-        if kind == "pair":
-            g = shape[1]
-            return (PaperTau("3-dec", 0.5 / g, "element", 0.5 / g),)
-        if kind == "triple":
-            g = shape[1]
-            return (PaperTau("3-dec", 0.5 / g, "element", 0.5 / g),)
-        if kind == "multi-local":
-            g = shape[1]
-            return (PaperTau("3-dec", (2.0 / 3.0) / g, "element", (2.0 / 3.0) / g),)
-        if kind == "local+pair":
-            g1, g2 = shape[1], shape[2]
-            return (
-                PaperTau("3-dec", 2.0 / g1 + 0.5 / g2, "element", 2.0 / (g1 + 4.0 * g2)),
-            )
-    raise UnsupportedScenarioError(
-        f"no published timescales for class {state_class!r} under {scenario.label!r}"
+        for label, convention, printed, implied, weights in rows
     )
 
 
@@ -333,39 +245,47 @@ def build_report(
     )
 
 
+#: the scale each published label is fitted at, as qubits per coherence
+#: ("dis": the concurrence in the entry's convention), and which of that
+#: scale's decaying taus it quotes.
+_PAPER_SCALES = {
+    "3-dec": (3, max),
+    "2-dec-slow": (2, max),
+    "2-dec-fast": (2, min),
+    "2-dec": (2, max),
+    "1-dec": (1, max),
+    "dis": ("dis", max),
+}
+
+
+def _decaying_taus(report: TimescaleReport, size: int, qubits=QUBITS) -> list[float]:
+    """Fitted taus of the decaying coherences of every `size`-qubit matrix on `qubits`.
+
+    `size` equal to the register is the full state; smaller sizes are the
+    reductions whose kept qubits all lie in `qubits`.
+    """
+    if size == len(report.register):
+        fits = report.element_fits.values()
+    else:
+        fits = [
+            fit
+            for key, fit in report.reduced_fits.items()
+            if len(kept := key.split(":")[0]) == size and set(kept) <= set(qubits)
+        ]
+    return [fit.tau for fit in fits if fit.decays]
+
+
 def measure_paper_taus(report: TimescaleReport) -> dict[str, Optional[float]]:
     """Fitted counterpart of each published timescale label in the report."""
-    full = [f.tau for f in report.element_fits.values() if f.decays]
-    singles = [
-        f.tau
-        for key, f in report.reduced_fits.items()
-        if len(key.split(":")[0]) == 1 and f.decays
-    ]
-    pair_reduced = [
-        f.tau
-        for key, f in report.reduced_fits.items()
-        if len(key.split(":")[0]) == 2 and f.decays
-    ]
-    if len(report.register) == 2:
-        pair_reduced = full
-    dis_c = [f.tau for f in report.concurrence_fits.values() if f.decays]
-    dis_c2 = [f.tau for f in report.concurrence_sq_fits.values() if f.decays]
-
     out: dict[str, Optional[float]] = {}
-    if report.paper_taus is None:
-        return out
-    for entry in report.paper_taus:
-        if entry.label in ("3-dec", "2-dec-slow"):
-            out[entry.label] = max(full) if full else None
-        elif entry.label == "2-dec-fast":
-            out[entry.label] = min(full) if full else None
-        elif entry.label == "2-dec":
-            out[entry.label] = max(pair_reduced) if pair_reduced else None
-        elif entry.label == "1-dec":
-            out[entry.label] = max(singles) if singles else None
-        elif entry.label == "dis":
-            taus = dis_c if entry.convention == "C" else dis_c2
-            out[entry.label] = max(taus) if taus else None
+    for entry in report.paper_taus or ():
+        scale, pick = _PAPER_SCALES[entry.label]
+        if scale == "dis":
+            fits = report.concurrence_fits if entry.convention == "C" else report.concurrence_sq_fits
+            taus = [fit.tau for fit in fits.values() if fit.decays]
+        else:
+            taus = _decaying_taus(report, scale)
+        out[entry.label] = pick(taus) if taus else None
     return out
 
 
@@ -406,28 +326,12 @@ def audit_inequality(report: TimescaleReport) -> AuditResult:
     is that scale's slowest element; the pair passes if tau_dis stays at or
     below every applicable bound.
     """
-    full = [f.tau for f in report.element_fits.values() if f.decays]
     results = []
     for pair, cfit in report.concurrence_fits.items():
         if not cfit.decays or cfit.amplitude <= ZERO_FLOOR:
             results.append(PairAudit(pair, "VACUOUS"))
             continue
-        scales: list[list[float]] = [full]
-        if len(report.register) == 3:
-            scales.append(
-                [
-                    f.tau
-                    for key, f in report.reduced_fits.items()
-                    if key.startswith(f"{pair}:") and f.decays
-                ]
-            )
-        scales.append(
-            [
-                f.tau
-                for key, f in report.reduced_fits.items()
-                if key.split(":")[0] in pair and len(key.split(":")[0]) == 1 and f.decays
-            ]
-        )
+        scales = [_decaying_taus(report, size, pair) for size in range(len(report.register), 0, -1)]
         bounds = [max(taus) for taus in scales if taus]
         if not bounds:
             results.append(PairAudit(pair, "VACUOUS"))

@@ -8,6 +8,7 @@ from dephasim.cli import main
 from dephasim.config import (
     ConfigParseError,
     ConfigValidationError,
+    grid_from,
     load_config,
     mc_from,
     parse_config_text,
@@ -203,6 +204,78 @@ def test_run_validation_failure_writes_nothing(tmp_path):
     out = tmp_path / "nope"
     assert main(["run", "--config", str(conf), "--out", str(out)]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, old, new, key",
+    [
+        ("run", "rate = 1.0", "rate = nan", "scenario.channels[0].rate"),
+        ("run", "rate = 1.0", "rate = inf", "scenario.channels[0].rate"),
+        ("run", "grid.t_max = 3.0", "grid.t_max = nan", "grid.t_max"),
+        ("sweep", "mc.dt = 0.05", "sweep.rate = nan", "sweep.rate"),
+        ("verify", "mc.dt = 0.05", "mc.dt = nan", "mc.dt"),
+    ],
+)
+def test_non_finite_numbers_are_validation_errors(tmp_path, capsys, command, old, new, key):
+    conf = tmp_path / "c.conf"
+    conf.write_text(FRAGILE_CONF.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("excess", [0.4, 1.3e-11])
+def test_unnormalised_coefficients_are_validation_errors(tmp_path, capsys, command, excess):
+    a = 0.5773502691896258
+    conf = tmp_path / "w.conf"
+    conf.write_text(
+        W_CONF.replace(f"state.a4 = {a}", f"state.a4 = {math.sqrt(a * a + excess)!r}")
+        + "mc.trajectories = 10\nmc.seed = 1\n"
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 3
+    assert "state.a1, state.a2, state.a4: coefficients are not normalized" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("mc.trajectories", "0"),
+        ("mc.dt", "-0.1"),
+        ("mc.dt", "2.0"),  # beyond mc.t
+        ("mc.t", "0"),
+        ("grid.samples", "4"),
+        ("grid.t_max", "-1"),
+    ],
+)
+def test_validation_errors_name_their_own_key(key, value):
+    raw = parse_config_text(FRAGILE_CONF)
+    raw[key] = value
+    with pytest.raises(ConfigValidationError) as info:
+        if key.startswith("mc."):
+            mc_from(raw)
+        else:
+            grid_from(raw, scenario_from(raw))
+    assert info.value.field == key
+
+
+def test_run_writes_through_unique_temp_files(fragile_conf, tmp_path):
+    out = tmp_path / "out"
+    blocker = out / "trajectory.csv.tmp"
+    blocker.mkdir(parents=True)
+    assert main(["run", "--config", str(fragile_conf), "--out", str(out)]) == 0
+    assert list(out.glob("*.tmp")) == [blocker]
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert (out / "trajectory.csv").stat().st_mode == plain.stat().st_mode
+    # a rename that fails leaves no temp file behind
+    (out / "audit.csv").unlink()
+    (out / "audit.csv").mkdir()
+    assert main(["run", "--config", str(fragile_conf), "--out", str(out)]) == 4
+    assert list(out.glob("*.tmp")) == [blocker]
 
 
 def test_run_parse_failure_exit_code(tmp_path):

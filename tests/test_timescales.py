@@ -1,12 +1,19 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from dephasim.channels import Local, NoiseScenario
+from dephasim.channels import Local, NoiseScenario, PairCollective, decay_exponents
 from dephasim.errors import UnsupportedScenarioError
-from dephasim.presets import PAPER_MATRIX, draw_state, named_scenario
-from dephasim.states import analytic_evolved, projector
+from dephasim.presets import (
+    PAPER_MATRIX,
+    PAPER_TAUS,
+    SCENARIO_LAYOUTS,
+    draw_state,
+    named_scenario,
+)
+from dephasim.states import STATE_TYPES, analytic_evolved, projector
 from dephasim.timescales import (
     TimeGrid,
     Trajectory,
@@ -154,8 +161,64 @@ def test_paper_tau_table_rejects_unknown_pairs():
     rates_differ = NoiseScenario(
         3, ((Local("A"), 1.0), (Local("B"), 2.0), (Local("C"), 1.0))
     )
-    with pytest.raises(UnsupportedScenarioError):
-        paper_tau_table("w", rates_differ)
+    overlapping = NoiseScenario(3, ((Local("A"), 1.0), (Local("B"), 1.0)), allow_overlap=True)
+    idle_pair = named_scenario("3q-local-A-pair-BC", (1.0, 0.0))
+    for scenario in (rates_differ, overlapping, idle_pair):
+        with pytest.raises(UnsupportedScenarioError):
+            paper_tau_table("w", scenario)
+
+
+def test_paper_matrix_keeps_its_order():
+    # paper-tables seeds each combination by its index in this order
+    layouts = ("3q-local-A", "3q-pair-AB", "3q-collective", "3q-multi-local", "3q-local-A-pair-BC")
+    assert PAPER_MATRIX == (("fragile", "2q-collective"), ("robust", "2q-collective")) + tuple(
+        (cls, name) for cls in ("w", "ghz") for name in layouts
+    )
+
+
+@pytest.mark.parametrize(
+    "name, channels",
+    [
+        ("3q-local-A", ((Local("B"), 0.7),)),
+        ("3q-local-A", ((Local("C"), 0.7),)),
+        ("3q-pair-AB", ((PairCollective("A", "C"), 0.7),)),
+        ("3q-pair-AB", ((PairCollective("B", "C"), 0.7),)),
+        ("3q-local-A-pair-BC", ((Local("B"), 0.7), (PairCollective("A", "C"), 1.9))),
+        ("3q-local-A-pair-BC", ((PairCollective("C", "A"), 1.9), (Local("B"), 0.7))),
+    ],
+)
+def test_paper_tau_table_follows_relabelled_layouts(name, channels):
+    named = named_scenario(name, (0.7, 1.9)[: len(channels)])
+    relabelled = NoiseScenario(3, channels)
+    for cls in ("w", "ghz"):
+        rows = paper_tau_table(cls, named)
+        assert rows and paper_tau_table(cls, relabelled) == rows
+
+
+def test_factor_implied_rows_follow_decay_exponents():
+    # a full-register element row implies the slowest (2-dec-fast: the fastest)
+    # e-folding 1 / E_ij among the decaying coherences on the class's support
+    picks = {"3-dec": max, "2-dec-slow": max, "2-dec-fast": min, "2-dec": max}
+    checked = 0
+    for (cls, name), rows in PAPER_TAUS.items():
+        size, layout = SCENARIO_LAYOUTS[name]
+        kinds = list(dict.fromkeys(type(k) for k in layout))
+        for rates in ((1.0,), (0.7,), (0.7, 1.9)):
+            if len(rates) != len(kinds):
+                continue
+            scenario = named_scenario(name, [rates[kinds.index(type(k))] for k in layout])
+            exponents = decay_exponents(scenario)
+            taus = [
+                1.0 / exponents[i, j]
+                for i, j in combinations(STATE_TYPES[cls].support, 2)
+                if exponents[i, j] > 1e-9
+            ]
+            for entry in paper_tau_table(cls, scenario):
+                if entry.label in picks and not (entry.label == "2-dec" and size == 3):
+                    expected = picks[entry.label](taus)
+                    assert abs(entry.fitted_equiv - expected) <= 1e-15 * expected, (cls, name)
+                    checked += 1
+    assert checked == 22
 
 
 def test_sample_evolution_matches_reference():
