@@ -2,7 +2,9 @@
 
 All outputs are deterministic byte-for-byte for a given config (and seed):
 no timestamps, shortest round-trip float formatting, fixed column orders.
-Files are written to a unique temporary name and renamed into place on success.
+Each command computes all of its files before writing any; each file goes
+to a unique temporary name and is renamed into place, and if one write fails
+the files already written are removed, so a failed command leaves none.
 
 Exit codes: 0 success, 1 check failed, 2 config parse error, 3 validation
 error, 4 I/O error, 5 stochastic-oracle equivalence not established.
@@ -20,14 +22,13 @@ import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .config import (
     ConfigParseError,
     ConfigValidationError,
-    OutputOptions,
     load_config,
     mc_from,
     grid_from,
@@ -39,7 +40,7 @@ from .config import (
 from .channels import NoiseScenario, evolve
 from .entanglement import concurrence_curve, entanglement_of_formation
 from .errors import EquivalenceNotEstablishedError
-from .linalg import frobenius_distance, partial_trace
+from .linalg import frobenius_distance
 from .montecarlo import DISTANCE_FACTOR, Z_LIMIT, ChannelComparison, compare_to_channel
 from .presets import PAPER_MATRIX, draw_state, named_scenario
 from .states import (
@@ -47,7 +48,7 @@ from .states import (
     StateSpec,
     analytic_evolved,
     projector,
-    qubit_pairs,
+    reduced_stacks,
     reduced_subsets,
 )
 from .svgplot import line_chart
@@ -87,6 +88,21 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _emit(out_dir: Path, files: dict[str, str]) -> None:
+    """Write every file of a command, then print the paths; a failed write removes those written."""
+    written: list[Path] = []
+    try:
+        for name, text in files.items():
+            _write_atomic(out_dir / name, text)
+            written.append(out_dir / name)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    for path in written:
+        print(path)
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -122,112 +138,51 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+def _table(fmt: str, header: Sequence[str], rows: Iterable[dict], payload=None) -> str:
+    """`rows` as CSV in `header` order (a missing key is an empty cell), or `payload` as JSON.
+
+    The JSON payload defaults to the rows, one object per row.
+    """
+    if fmt == "json":
+        return _dump_json(rows if payload is None else payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerows([_cell(row.get(key)) for key in header] for row in rows)
     return buf.getvalue()
+
+
+def _magnitudes(prefix: str, stack: np.ndarray) -> dict[str, np.ndarray]:
+    """|rho_ij| over time of every upper off-diagonal element of a (T, d, d) stack."""
+    upper = zip(*np.triu_indices(stack.shape[-1], 1))
+    return {f"{prefix}rho_{i + 1}{j + 1}": np.abs(stack[:, i, j]) for i, j in upper}
 
 
 def _trajectory_columns(
     spec: StateSpec, scenario: NoiseScenario, grid: TimeGrid, outputs: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
-    times = grid.times
     stack = sample_evolution(spec, scenario, grid)
     register = spec.register
-    n = len(register)
-    dim = 1 << n
+    reduced = reduced_stacks(stack, register)
+    curves = {label: concurrence_curve(red) for label, red in reduced.items() if len(label) == 2}
 
-    columns: dict[str, np.ndarray] = {"t": times}
+    columns: dict[str, np.ndarray] = {"t": grid.times}
     if "elements" in outputs:
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                columns[f"abs_rho_{i + 1}{j + 1}"] = np.abs(stack[:, i, j])
-
-    pair_curves: dict[str, np.ndarray] = {}
-    for pair in qubit_pairs(register):
-        label = "".join(pair)
-        red = stack if n == 2 else partial_trace(stack, pair, register)
-        pair_curves[label] = concurrence_curve(red)
+        columns.update(_magnitudes("abs_", stack))
     if "concurrence" in outputs:
         # squared concurrence is the pairwise quantity at three qubits
-        for label, c in pair_curves.items():
-            if n == 2:
+        for label, c in curves.items():
+            if len(register) == 2:
                 columns[f"C_{label}"] = c
-                columns[f"C2_{label}"] = c * c
-            else:
-                columns[f"C2_{label}"] = c * c
+            columns[f"C2_{label}"] = c * c
     if "eof" in outputs:
-        for label, c in pair_curves.items():
+        for label, c in curves.items():
             columns[f"Ef_{label}"] = np.array([entanglement_of_formation(x) for x in c])
     if "reduced" in outputs:
         for keep in reduced_subsets(register):
             label = "".join(keep)
-            red = partial_trace(stack, keep, register)
-            d = 1 << len(keep)
-            for i in range(d):
-                for j in range(i + 1, d):
-                    columns[f"abs_{label}_rho_{i + 1}{j + 1}"] = np.abs(red[:, i, j])
+            columns.update(_magnitudes(f"abs_{label}_", reduced[label]))
     return columns
-
-
-def _write_trajectory(columns: dict[str, np.ndarray], opts: OutputOptions) -> Path:
-    path = opts.out_dir / f"trajectory.{opts.fmt}"
-    if opts.fmt == "csv":
-        header = list(columns)
-        rows = zip(*(columns[name] for name in header))
-        _write_atomic(path, _csv_text(header, [list(r) for r in rows]))
-    else:
-        _write_atomic(path, _dump_json({name: list(vals) for name, vals in columns.items()}))
-    return path
-
-
-def _fit_rows(report: TimescaleReport, convention: str) -> list[list]:
-    rows: list[list] = []
-
-    def add(kind: str, fits: dict) -> None:
-        for key, fit in fits.items():
-            rows.append(
-                [
-                    kind,
-                    key,
-                    fit.tau,
-                    fit.amplitude,
-                    fit.residual,
-                    fit.is_constant,
-                    fit.non_monotone,
-                    None,
-                    None,
-                    None,
-                ]
-            )
-
-    add("element", report.element_fits)
-    add("reduced", report.reduced_fits)
-    if convention in ("c", "both"):
-        add("concurrence", report.concurrence_fits)
-    if convention in ("c2", "both"):
-        add("concurrence_sq", report.concurrence_sq_fits)
-    measured = measure_paper_taus(report)
-    if report.paper_taus:
-        for entry in report.paper_taus:
-            rows.append(
-                [
-                    "paper",
-                    entry.label,
-                    measured.get(entry.label),
-                    None,
-                    None,
-                    None,
-                    None,
-                    entry.printed,
-                    entry.convention,
-                    entry.fitted_equiv,
-                ]
-            )
-    return rows
 
 
 _TIMESCALE_HEADER = [
@@ -242,42 +197,37 @@ _TIMESCALE_HEADER = [
     "convention",
     "fitted_equiv",
 ]
+_AUDIT_HEADER = ["pair", "verdict", "tau_dis", "tau_bound", "margin"]
 
 
-def _write_timescales(report: TimescaleReport, opts: OutputOptions) -> Path:
-    path = opts.out_dir / f"timescales.{opts.fmt}"
-    rows = _fit_rows(report, opts.convention)
-    if opts.fmt == "csv":
-        _write_atomic(path, _csv_text(_TIMESCALE_HEADER, rows))
-    else:
-        payload = [dict(zip(_TIMESCALE_HEADER, row)) for row in rows]
-        _write_atomic(path, _dump_json({"scenario": report.scenario_label, "fits": payload}))
-    return path
-
-
-def _write_audit(report: TimescaleReport, opts: OutputOptions) -> tuple[Path, str]:
-    audit = audit_inequality(report)
-    path = opts.out_dir / f"audit.{opts.fmt}"
+def _fit_rows(report: TimescaleReport, convention: str) -> list[dict]:
+    groups = [("element", report.element_fits), ("reduced", report.reduced_fits)]
+    if convention in ("c", "both"):
+        groups.append(("concurrence", report.concurrence_fits))
+    if convention in ("c2", "both"):
+        groups.append(("concurrence_sq", report.concurrence_sq_fits))
+    blank = dict.fromkeys(_TIMESCALE_HEADER)  # JSON rows carry every column, in header order
     rows = [
-        [p.pair, p.verdict, p.tau_dis, p.tau_bound, p.margin] for p in audit.pairs
-    ] + [["overall", audit.overall, None, None, None]]
-    if opts.fmt == "csv":
-        _write_atomic(path, _csv_text(["pair", "verdict", "tau_dis", "tau_bound", "margin"], rows))
-    else:
-        _write_atomic(
-            path,
-            _dump_json(
-                {
-                    "scenario": report.scenario_label,
-                    "pairs": [asdict(p) for p in audit.pairs],
-                    "overall": audit.overall,
-                }
-            ),
-        )
-    return path, audit.overall
+        {**blank, "kind": kind, "key": key, **asdict(fit)}
+        for kind, fits in groups
+        for key, fit in fits.items()
+    ]
+    measured = measure_paper_taus(report)
+    return rows + [
+        {
+            **blank,
+            "kind": "paper",
+            "key": entry.label,
+            "tau": measured.get(entry.label),
+            "printed_tau": entry.printed,
+            "convention": entry.convention,
+            "fitted_equiv": entry.fitted_equiv,
+        }
+        for entry in report.paper_taus or ()
+    ]
 
 
-def _write_plots(columns: dict[str, np.ndarray], opts: OutputOptions) -> list[Path]:
+def _plots(columns: dict[str, np.ndarray], log_y: bool) -> dict[str, str]:
     times = columns["t"]
     element_series = [
         (name.removeprefix("abs_"), times, vals)
@@ -289,20 +239,18 @@ def _write_plots(columns: dict[str, np.ndarray], opts: OutputOptions) -> list[Pa
         for name, vals in columns.items()
         if name.startswith(("C_", "C2_", "Ef_"))
     ]
-    paths = []
-    for fname, series, title, ylab in (
-        ("elements.svg", element_series, "Coherence magnitudes", "|rho_ij|"),
-        ("entanglement.svg", ent_series, "Pairwise entanglement", "C / Ef"),
-    ):
-        path = opts.out_dir / fname
-        _write_atomic(path, line_chart(series, title, "t", ylab, log_y=opts.log_y))
-        paths.append(path)
-    return paths
+    return {
+        "elements.svg": line_chart(
+            element_series, "Coherence magnitudes", "t", "|rho_ij|", log_y=log_y
+        ),
+        "entanglement.svg": line_chart(
+            ent_series, "Pairwise entanglement", "t", "C / Ef", log_y=log_y
+        ),
+    }
 
 
-def cmd_run(args) -> int:
-    raw = load_config(args.config)
-    opts = output_options_from(raw, args.out, args.format, args.plots, args.convention)
+def _state_and_scenario(raw: dict[str, str]) -> tuple[StateSpec, NoiseScenario]:
+    """The config's state and noise scenario, checked to be on the same register size."""
     spec = state_from(raw)
     scenario = scenario_from(raw)
     if len(spec.register) != scenario.register_size:
@@ -310,22 +258,41 @@ def cmd_run(args) -> int:
             "scenario.register",
             f"state class {spec.name!r} needs a {len(spec.register)}-qubit register",
         )
+    return spec, scenario
+
+
+def cmd_run(args, raw, opts) -> int:
+    spec, scenario = _state_and_scenario(raw)
     grid = grid_from(raw, scenario)
+    fmt = opts.fmt
 
     columns = _trajectory_columns(spec, scenario, grid, opts.outputs)
-    written = [_write_trajectory(columns, opts)]
+    files: dict[str, str] = {}
     overall = None
     if "timescales" in opts.outputs or "audit" in opts.outputs:
-        report = build_report(spec, scenario, grid)
+        try:
+            report = build_report(spec, scenario, grid)
+        except ValueError as exc:  # a fit with too few samples above the zero floor
+            raise ConfigValidationError(
+                "grid.t_max", f"{exc}; shorten the horizon or add samples (grid.samples)"
+            ) from None
         if "timescales" in opts.outputs:
-            written.append(_write_timescales(report, opts))
+            rows = _fit_rows(report, opts.convention)
+            payload = {"scenario": report.scenario_label, "fits": rows}
+            files[f"timescales.{fmt}"] = _table(fmt, _TIMESCALE_HEADER, rows, payload)
         if "audit" in opts.outputs:
-            path, overall = _write_audit(report, opts)
-            written.append(path)
+            audit = audit_inequality(report)
+            overall = audit.overall
+            pairs = [asdict(p) for p in audit.pairs]
+            payload = {"scenario": report.scenario_label, "pairs": pairs, "overall": overall}
+            rows = pairs + [{"pair": "overall", "verdict": overall}]
+            files[f"audit.{fmt}"] = _table(fmt, _AUDIT_HEADER, rows, payload)
     if opts.plots:
-        written.extend(_write_plots(columns, opts))
-    for path in written:
-        print(path)
+        files.update(_plots(columns, opts.log_y))
+    # the trajectory is by far the largest text: built last, written first
+    rows = (dict(zip(columns, values)) for values in zip(*columns.values()))
+    files = {f"trajectory.{fmt}": _table(fmt, list(columns), rows, columns), **files}
+    _emit(opts.out_dir, files)
     if overall is not None:
         print(f"audit: {overall}")
     return EXIT_OK
@@ -364,19 +331,13 @@ def _comparison_payload(cmp_: ChannelComparison) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
-    raw = load_config(args.config)
-    opts = output_options_from(raw, args.out, args.format, args.plots, args.convention)
-    spec = state_from(raw)
-    scenario = scenario_from(raw)
+def cmd_verify(args, raw, opts) -> int:
+    spec, scenario = _state_and_scenario(raw)
     cfg = mc_from(raw, args.seed)
     if cfg is None:
         raise ConfigValidationError("mc.seed", "verify needs an mc.* section")
     cmp_ = compare_to_channel(spec, scenario, cfg, force_informational=args.force_informational)
-    payload = _comparison_payload(cmp_)
-    path = opts.out_dir / "verify.json"
-    _write_atomic(path, _dump_json(payload))
-    print(path)
+    _emit(opts.out_dir, {"verify.json": _dump_json(_comparison_payload(cmp_))})
     status = "INFORMATIONAL" if cmp_.informational else ("PASS" if cmp_.passed else "FAIL")
     print(
         f"verify: {status} distance={cmp_.distance:.6g} "
@@ -406,11 +367,12 @@ def _oracle_check(cls: str, scenario: NoiseScenario, seed: int) -> float:
     return worst
 
 
-def cmd_paper_tables(args) -> int:
-    opts_raw: dict[str, str] = {}
-    if args.config:
-        opts_raw = load_config(args.config)
-    opts = output_options_from(opts_raw, args.out, args.format, args.plots, args.convention)
+_PAPER_HEADER = [
+    "class", "scenario", "label", "printed_tau", "convention", "fitted_equiv", "fitted", "ok"
+]
+
+
+def cmd_paper_tables(args, raw, opts) -> int:
     rate = 1.0
     entries = []
     oracle_rows = []
@@ -467,24 +429,9 @@ def cmd_paper_tables(args) -> int:
         "audit": audit_rows,
         "failures": failures,
     }
-    path = opts.out_dir / "paper_tables.json"
-    _write_atomic(path, _dump_json(payload))
-    written = [path]
+    files = {"paper_tables.json": _dump_json(payload)}
     if opts.fmt == "csv":
-        header = [
-            "class",
-            "scenario",
-            "label",
-            "printed_tau",
-            "convention",
-            "fitted_equiv",
-            "fitted",
-            "ok",
-        ]
-        rows = [[e[k] for k in header] for e in entries]
-        csv_path = opts.out_dir / "paper_tables.csv"
-        _write_atomic(csv_path, _csv_text(header, rows))
-        written.append(csv_path)
+        files["paper_tables.csv"] = _table("csv", _PAPER_HEADER, entries)
 
     for e in entries:
         fitted = "n/a" if e["fitted"] is None else f"{e['fitted']:.6g}"
@@ -500,8 +447,7 @@ def cmd_paper_tables(args) -> int:
         f"audit: {verdicts.count('PASS')} PASS, {verdicts.count('VACUOUS')} VACUOUS, "
         f"{verdicts.count('FAIL')} FAIL"
     )
-    for path_ in written:
-        print(path_)
+    _emit(opts.out_dir, files)
     if failures:
         for failure in failures:
             print(f"FAILURE {failure}", file=sys.stderr)
@@ -509,44 +455,27 @@ def cmd_paper_tables(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    raw = load_config(args.config)
-    opts = output_options_from(raw, args.out, args.format, args.plots, args.convention)
+_SWEEP_HEADER = ["class", "scenario", "draw", *_AUDIT_HEADER]
+
+
+def cmd_sweep(args, raw, opts) -> int:
     sweep = sweep_from(raw, args.seed)
     rng = np.random.default_rng(sweep.seed)
     rows = []
-    fails = 0
     for cls in sweep.classes:
         for scen_name in sweep.scenarios:
             scenario = named_scenario(scen_name, sweep.rate)
             if scenario.register_size != len(STATE_TYPES[cls].register):
                 continue
             for draw in range(sweep.draws):
-                spec = draw_state(cls, rng)
-                audit = audit_inequality(build_report(spec, scenario))
-                for pair in audit.pairs:
-                    rows.append(
-                        [
-                            cls,
-                            scen_name,
-                            draw,
-                            pair.pair,
-                            pair.verdict,
-                            pair.tau_dis,
-                            pair.tau_bound,
-                            pair.margin,
-                        ]
-                    )
-                    if pair.verdict == "FAIL":
-                        fails += 1
-    header = ["class", "scenario", "draw", "pair", "verdict", "tau_dis", "tau_bound", "margin"]
-    path = opts.out_dir / f"sweep.{opts.fmt}"
-    if opts.fmt == "csv":
-        _write_atomic(path, _csv_text(header, rows))
-    else:
-        _write_atomic(path, _dump_json([dict(zip(header, row)) for row in rows]))
-    verdicts = [row[4] for row in rows]
-    print(path)
+                audit = audit_inequality(build_report(draw_state(cls, rng), scenario))
+                rows += [
+                    {"class": cls, "scenario": scen_name, "draw": draw, **asdict(pair)}
+                    for pair in audit.pairs
+                ]
+    _emit(opts.out_dir, {f"sweep.{opts.fmt}": _table(opts.fmt, _SWEEP_HEADER, rows)})
+    verdicts = [row["verdict"] for row in rows]
+    fails = verdicts.count("FAIL")
     print(
         f"sweep: {len(rows)} pair verdicts; {verdicts.count('PASS')} PASS, "
         f"{verdicts.count('VACUOUS')} VACUOUS, {fails} FAIL"
@@ -592,7 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        raw = load_config(args.config) if args.config is not None else {}
+        opts = output_options_from(raw, args.out, args.format, args.plots, args.convention)
+        return args.handler(args, raw, opts)
     except ConfigParseError as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -247,7 +247,12 @@ def mc_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Optiona
     try:
         return TrajectoryConfig(n_trajectories=n, dt=dt, seed=seed, t_final=t_final)
     except ValueError as exc:
-        keys = {"n_trajectories": "mc.trajectories", "dt": "mc.dt", "t_final": "mc.t"}
+        keys = {
+            "n_trajectories": "mc.trajectories",
+            "dt": "mc.dt",
+            "t_final": "mc.t",
+            "seed": "mc.seed",
+        }
         raise _field_error(exc, keys) from None
 
 
@@ -265,6 +270,8 @@ def sweep_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Swee
     if draws < 1:
         raise ConfigValidationError("sweep.draws", "must be at least 1")
     seed = seed_override if seed_override is not None else _as_int(raw, "sweep.seed", 0)
+    if seed < 0:
+        raise ConfigValidationError("sweep.seed", f"must be nonnegative, got {seed}")
     classes = _as_list(raw, "sweep.classes", ("fragile", "robust", "w", "ghz"))
     for cls in classes:
         if cls not in STATE_TYPES:

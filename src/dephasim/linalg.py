@@ -13,9 +13,7 @@ import numpy as np
 
 QUBITS = ("A", "B", "C")
 
-IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

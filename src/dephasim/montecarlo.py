@@ -56,6 +56,8 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0 < self.t_final < math.inf:

@@ -220,6 +220,18 @@ def reduced_subsets(register: tuple[str, ...]) -> list[tuple[str, ...]]:
     return singles + qubit_pairs(register) if len(register) == 3 else singles
 
 
+def reduced_stacks(stack: np.ndarray, register: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """`stack` reduced to every `reduced_subsets` entry and every qubit pair, keyed "A", "AB", ...
+
+    Leading batch axes pass through; a pair that is the whole register is `stack` itself.
+    """
+    keeps = dict.fromkeys(reduced_subsets(register) + qubit_pairs(register))
+    return {
+        "".join(keep): stack if keep == register else partial_trace(stack, keep, register)
+        for keep in keeps
+    }
+
+
 def reduced_all(rho: DensityMatrix) -> dict[tuple[str, ...], DensityMatrix]:
     """Every one- and two-qubit reduced matrix of `rho`, keyed by kept qubits."""
     return {

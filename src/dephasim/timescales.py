@@ -18,9 +18,9 @@ import numpy as np
 from .channels import NoiseScenario, evolve
 from .entanglement import concurrence_curve
 from .errors import UnsupportedScenarioError
-from .linalg import QUBITS, partial_trace
+from .linalg import QUBITS
 from .presets import PAPER_TAUS, scenario_layout
-from .states import StateSpec, projector, qubit_pairs
+from .states import StateSpec, projector, qubit_pairs, reduced_stacks, reduced_subsets
 
 #: trajectory samples at or below this magnitude are treated as exact zeros.
 ZERO_FLOOR = 1e-13
@@ -209,22 +209,17 @@ def build_report(
 
     element_fits = _fit_offdiagonals(stack, times)
 
+    reduced = reduced_stacks(stack, register)
     reduced_fits: dict[str, FitResult] = {}
-    pair_stacks: dict[str, np.ndarray] = {}
-    for q in register:
-        red = partial_trace(stack, (q,), register)
-        reduced_fits.update(_fit_offdiagonals(red, times, prefix=f"{q}:"))
-    for pair in qubit_pairs(register):
-        label = "".join(pair)
-        red = stack if len(register) == 2 else partial_trace(stack, pair, register)
-        pair_stacks[label] = red
-        if len(register) == 3:
-            reduced_fits.update(_fit_offdiagonals(red, times, prefix=f"{label}:"))
+    for keep in reduced_subsets(register):
+        label = "".join(keep)
+        reduced_fits.update(_fit_offdiagonals(reduced[label], times, prefix=f"{label}:"))
 
     concurrence_fits: dict[str, FitResult] = {}
     concurrence_sq_fits: dict[str, FitResult] = {}
-    for label, red in pair_stacks.items():
-        c = concurrence_curve(red)
+    for pair in qubit_pairs(register):
+        label = "".join(pair)
+        c = concurrence_curve(reduced[label])
         concurrence_fits[label] = fit_exponential(Trajectory(times, c))
         concurrence_sq_fits[label] = fit_exponential(Trajectory(times, c * c))
 

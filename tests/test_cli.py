@@ -249,6 +249,8 @@ def test_unnormalised_coefficients_are_validation_errors(tmp_path, capsys, comma
         ("mc.t", "0"),
         ("grid.samples", "4"),
         ("grid.t_max", "-1"),
+        ("mc.seed", "-1"),
+        ("sweep.seed", "-1"),
     ],
 )
 def test_validation_errors_name_their_own_key(key, value):
@@ -257,6 +259,8 @@ def test_validation_errors_name_their_own_key(key, value):
     with pytest.raises(ConfigValidationError) as info:
         if key.startswith("mc."):
             mc_from(raw)
+        elif key.startswith("sweep."):
+            sweep_from(raw)
         else:
             grid_from(raw, scenario_from(raw))
     assert info.value.field == key
@@ -271,11 +275,34 @@ def test_run_writes_through_unique_temp_files(fragile_conf, tmp_path):
     plain = tmp_path / "plain"
     plain.write_text("")
     assert (out / "trajectory.csv").stat().st_mode == plain.stat().st_mode
-    # a rename that fails leaves no temp file behind
+    # a rename that fails leaves no temp file behind, and none of the command's files
     (out / "audit.csv").unlink()
     (out / "audit.csv").mkdir()
     assert main(["run", "--config", str(fragile_conf), "--out", str(out)]) == 4
     assert list(out.glob("*.tmp")) == [blocker]
+    assert sorted(p.name for p in out.iterdir()) == ["audit.csv", blocker.name]
+
+
+@pytest.mark.parametrize("command, key", [("verify", "mc.seed"), ("sweep", "sweep.seed")])
+def test_negative_seed_flag_is_validation_error(fragile_conf, tmp_path, capsys, command, key):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(fragile_conf), "--out", str(out), "--seed", "-1"]) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_fit_failure_names_the_horizon(tmp_path, capsys):
+    conf = tmp_path / "long.conf"
+    conf.write_text(
+        FRAGILE_CONF.replace("rate = 1.0", "rate = 2.0")
+        .replace("grid.t_max = 3.0", "grid.t_max = 1000")
+        .replace("grid.samples = 16", "grid.samples = 64")
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "grid.t_max" in err and "shorten the horizon" in err
+    assert not out.exists()
 
 
 def test_run_parse_failure_exit_code(tmp_path):
@@ -285,10 +312,17 @@ def test_run_parse_failure_exit_code(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.conf")]) == 2
 
 
-def test_run_register_mismatch_is_validation_error(tmp_path):
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_register_mismatch_is_validation_error(tmp_path, capsys, command):
     conf = tmp_path / "m.conf"
-    conf.write_text(W_CONF.replace("state.class = w", "state.class = ghz"))
-    assert main(["run", "--config", str(conf), "--out", str(tmp_path / "o")]) == 3
+    conf.write_text(
+        W_CONF.replace("scenario.register = 3", "scenario.register = 2")
+        + "mc.trajectories = 10\nmc.seed = 1\n"
+    )
+    out = tmp_path / "o"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 3
+    assert "scenario.register: state class 'w' needs a 3-qubit register" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_pass_and_byte_identical(fragile_conf, tmp_path):
