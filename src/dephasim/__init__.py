@@ -40,11 +40,9 @@ from .linalg import (
 )
 from .montecarlo import (
     ChannelComparison,
-    FieldSpec,
     MonteCarloStats,
     TrajectoryConfig,
     compare_to_channel,
-    fields_from_scenario,
     simulate_statistics,
 )
 from .presets import (

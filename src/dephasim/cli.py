@@ -40,7 +40,7 @@ from .config import (
 from .channels import NoiseScenario, evolve
 from .entanglement import concurrence_curve, entanglement_of_formation
 from .errors import EquivalenceNotEstablishedError
-from .linalg import frobenius_distance
+from .linalg import element_key, frobenius_distance
 from .montecarlo import DISTANCE_FACTOR, Z_LIMIT, ChannelComparison, compare_to_channel
 from .presets import PAPER_MATRIX, draw_state, named_scenario
 from .states import (
@@ -155,7 +155,7 @@ def _table(fmt: str, header: Sequence[str], rows: Iterable[dict], payload=None) 
 def _magnitudes(prefix: str, stack: np.ndarray) -> dict[str, np.ndarray]:
     """|rho_ij| over time of every upper off-diagonal element of a (T, d, d) stack."""
     upper = zip(*np.triu_indices(stack.shape[-1], 1))
-    return {f"{prefix}rho_{i + 1}{j + 1}": np.abs(stack[:, i, j]) for i, j in upper}
+    return {prefix + element_key(i, j): np.abs(stack[:, i, j]) for i, j in upper}
 
 
 def _trajectory_columns(
@@ -305,7 +305,7 @@ def _comparison_payload(cmp_: ChannelComparison) -> dict:
         for j in range(i + 1, dim):
             elements.append(
                 {
-                    "element": f"rho_{i + 1}{j + 1}",
+                    "element": element_key(i, j),
                     "mc_re": cmp_.mc_mean[i, j].real,
                     "mc_im": cmp_.mc_mean[i, j].imag,
                     "channel_re": cmp_.channel_matrix[i, j].real,
@@ -468,7 +468,14 @@ def cmd_sweep(args, raw, opts) -> int:
             if scenario.register_size != len(STATE_TYPES[cls].register):
                 continue
             for draw in range(sweep.draws):
-                audit = audit_inequality(build_report(draw_state(cls, rng), scenario))
+                spec = draw_state(cls, rng)
+                try:
+                    report = build_report(spec, scenario)
+                except ValueError as exc:  # a fit with too few samples above the zero floor
+                    where = f"class {cls}, scenario {scen_name}, draw {draw}"
+                    print(f"sweep: {where}: {exc}", file=sys.stderr)
+                    return EXIT_CHECK_FAILED
+                audit = audit_inequality(report)
                 rows += [
                     {"class": cls, "scenario": scen_name, "draw": draw, **asdict(pair)}
                     for pair in audit.pairs

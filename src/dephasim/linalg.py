@@ -76,6 +76,11 @@ def partial_trace(
     return work.reshape(batch + (d, d))
 
 
+def element_key(i: int, j: int) -> str:
+    """Name of the density-matrix element (i, j), numbered from 1: ``rho_12`` for (0, 1)."""
+    return f"rho_{i + 1}{j + 1}"
+
+
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius norm of a - b."""
     a = np.asarray(a)

@@ -3,45 +3,35 @@
 Each trajectory draws one white-noise phase per field as a Gaussian random
 walk (per-step variance rate * dt, so the distribution of the accumulated
 phase is exact for any dt) and rotates the initial state by the resulting
-diagonal unitary.  Averaging the trajectories reproduces the local and
-pair-collective channels; the triple-collective operators are a documented
-exception and are only compared on request.
+diagonal unitary.  Trajectories are drawn in blocks of BLOCK from one
+generator seeded by the run's seed, each block one broadcast; averaging
+reproduces the local and pair-collective channels.  The triple-collective
+operators are a documented exception and are only compared on request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    ChannelKind,
-    Local,
-    NoiseScenario,
-    PairCollective,
-    decay_exponents,
-    evolve,
-)
+from .channels import ChannelKind, Local, NoiseScenario, PairCollective, decay_exponents, evolve
 from .errors import EquivalenceNotEstablishedError
-from .linalg import QUBITS, frobenius_distance, subspace_index
+from .linalg import QUBITS, element_key, frobenius_distance, subspace_index
 from .states import StateSpec, projector
 
 #: acceptance thresholds of compare_to_channel
 DISTANCE_FACTOR = 5.0
 Z_LIMIT = 4.0
 
+#: largest accepted run: trajectories, and phase-walk steps t_final / dt
+MAX_TRAJECTORIES = 10_000_000
+MAX_STEPS = 100_000
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """One white-noise field: its coupling scale and damping rate."""
-
-    kind: ChannelKind
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"rate must be nonnegative, got {self.rate}")
+#: trajectories drawn and accumulated in one broadcast; bounds a run's memory
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -54,8 +44,10 @@ class TrajectoryConfig:
     t_final: float
 
     def __post_init__(self):
-        if self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be at least 1")
+        if not 1 <= self.n_trajectories <= MAX_TRAJECTORIES:
+            raise ValueError(
+                f"n_trajectories must be in [1, {MAX_TRAJECTORIES}], got {self.n_trajectories}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 0 < self.dt < math.inf:
@@ -64,10 +56,8 @@ class TrajectoryConfig:
             raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
         if self.dt > self.t_final:
             raise ValueError("dt must not exceed t_final")
-
-
-def fields_from_scenario(scenario: NoiseScenario) -> tuple[FieldSpec, ...]:
-    return tuple(FieldSpec(kind, rate) for kind, rate in scenario.channels)
+        if self.t_final / self.dt > MAX_STEPS:
+            raise ValueError(f"dt must be at least t_final / {MAX_STEPS}, got {self.dt}")
 
 
 def _half_sz_sum(kind: ChannelKind, register: tuple[str, ...]) -> np.ndarray:
@@ -78,14 +68,13 @@ def _half_sz_sum(kind: ChannelKind, register: tuple[str, ...]) -> np.ndarray:
     return 0.5 * sum(1.0 - 2.0 * subspace_index((q,), register) for q in kind.support)
 
 
-def _step_stds(rate: float, dt: float, t_final: float) -> np.ndarray:
-    """Per-step standard deviations of the phase walk; variances sum to rate*t."""
+def _step_stds(rates: np.ndarray, dt: float, t_final: float) -> np.ndarray:
+    """(steps, fields) standard deviations of the phase walks; a field's variances sum to rate*t."""
     n_full = int(math.floor(t_final / dt + 1e-12))
     rem = t_final - n_full * dt
-    steps = [rate * dt] * n_full
-    if rem > 1e-12 * t_final:
-        steps.append(rate * rem)
-    return np.sqrt(np.array(steps))
+    durations = np.full(n_full + (rem > 1e-12 * t_final), dt)
+    durations[n_full:] = rem
+    return np.sqrt(np.multiply.outer(durations, rates))
 
 
 @dataclass(frozen=True)
@@ -98,11 +87,15 @@ class MonteCarloStats:
     n_trajectories: int
 
 
-def simulate_statistics(rho0, fields, cfg: TrajectoryConfig) -> MonteCarloStats:
+def simulate_statistics(
+    rho0, fields: Sequence[tuple[ChannelKind, float]], cfg: TrajectoryConfig
+) -> MonteCarloStats:
     """Average of U rho0 U^dagger over the trajectory ensemble.
 
-    Deterministic for a given seed: trajectory k draws from the k-th child
-    of the seed, and accumulation follows the trajectory index order.
+    `fields` are (ChannelKind, rate) pairs, as in `NoiseScenario.channels`.
+    Deterministic for a given seed: one generator seeded with cfg.seed draws
+    the trajectories in blocks of BLOCK, one (block, fields) array of normals
+    per step of the walk, and the blocks accumulate in order.
     """
     mat = np.asarray(rho0.matrix if hasattr(rho0, "matrix") else rho0, dtype=complex)
     dim = mat.shape[0]
@@ -110,38 +103,34 @@ def simulate_statistics(rho0, fields, cfg: TrajectoryConfig) -> MonteCarloStats:
     if mat.shape != (dim, dim) or 1 << n_qubits != dim or n_qubits not in (1, 2, 3):
         raise ValueError(f"state of shape {mat.shape} is not a 1-3 qubit register")
     register = QUBITS[:n_qubits]
+    for _, rate in fields:
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"rate must be finite and nonnegative, got {rate}")
 
-    coeffs = [_half_sz_sum(f.kind, register) for f in fields]
-    stds = [_step_stds(f.rate, cfg.dt, cfg.t_final) for f in fields]
+    charges = np.array([_half_sz_sum(kind, register) for kind, _ in fields]).reshape(-1, dim)
+    stds = _step_stds(np.array([rate for _, rate in fields], dtype=float), cfg.dt, cfg.t_final)
 
+    rng = np.random.default_rng(cfg.seed)
     acc = np.zeros((dim, dim), dtype=complex)
     acc_re2 = np.zeros((dim, dim))
     acc_im2 = np.zeros((dim, dim))
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trajectories)
-    for child in children:
-        rng = np.random.default_rng(child)
-        theta = np.zeros(dim)
-        for coeff, std in zip(coeffs, stds):
-            phi = float(rng.standard_normal(std.size) @ std)
-            theta += coeff * phi
-        u = np.exp(1j * theta)
-        factor = np.outer(u, u.conj())
-        np.fill_diagonal(factor, 1.0)  # phases cancel identically on populations
-        contrib = mat * factor
-        acc += contrib
-        acc_re2 += contrib.real**2
-        acc_im2 += contrib.imag**2
+    for start in range(0, cfg.n_trajectories, BLOCK):
+        phases = np.zeros((min(BLOCK, cfg.n_trajectories - start), len(charges)))
+        for std in stds:
+            phases += rng.standard_normal(phases.shape) * std
+        theta = phases @ charges
+        contrib = mat * np.exp(1j * (theta[:, :, None] - theta[:, None, :]))
+        acc += contrib.sum(axis=0)
+        acc_re2 += (contrib.real**2).sum(axis=0)
+        acc_im2 += (contrib.imag**2).sum(axis=0)
 
     n = cfg.n_trajectories
     mean = acc / n
     # every trajectory carries the populations unchanged, so the average does too
     np.fill_diagonal(mean, np.diag(mat))
-    if n > 1:
-        var_re = np.clip((acc_re2 - n * mean.real**2) / (n - 1), 0.0, None)
-        var_im = np.clip((acc_im2 - n * mean.imag**2) / (n - 1), 0.0, None)
-    else:
-        var_re = np.zeros((dim, dim))
-        var_im = np.zeros((dim, dim))
+    # one trajectory leaves both numerators exactly 0
+    var_re = np.clip((acc_re2 - n * mean.real**2) / max(n - 1, 1), 0.0, None)
+    var_im = np.clip((acc_im2 - n * mean.imag**2) / max(n - 1, 1), 0.0, None)
     return MonteCarloStats(mean, var_re, var_im, n)
 
 
@@ -198,8 +187,7 @@ def compare_to_channel(
     divergence between the stochastic average and the channel operators
     is quantified in the result instead of being treated as a failure.
     """
-    fields = fields_from_scenario(scenario)
-    informational = any(not isinstance(f.kind, EQUIVALENT_KINDS) for f in fields)
+    informational = any(not isinstance(kind, EQUIVALENT_KINDS) for kind, _ in scenario.channels)
     if informational and not force_informational:
         raise EquivalenceNotEstablishedError(
             "scenario includes a triple-collective channel, for which the "
@@ -207,7 +195,7 @@ def compare_to_channel(
             "pass force_informational=True to compare anyway"
         )
     rho0 = projector(spec)
-    stats = simulate_statistics(rho0.matrix, fields, cfg)
+    stats = simulate_statistics(rho0.matrix, scenario.channels, cfg)
     exact = evolve(rho0.matrix, scenario, cfg.t_final)
     dev = stats.mean - exact
     z = np.maximum(
@@ -218,19 +206,17 @@ def compare_to_channel(
     divergence: list[dict] = []
     if informational:
         register = QUBITS[: scenario.register_size]
-        # phase diffusion decays coherence (i, j) at rate * (s_i - s_j)^2 / 8
-        # per field, s being the sigma_z sum on the field support
-        sz = [2.0 * _half_sz_sum(f.kind, register) for f in fields]
-        stochastic_exponents = sum(
-            f.rate * np.subtract.outer(s, s) ** 2 / 8.0 for s, f in zip(sz, fields)
-        )
+        # phase diffusion decays coherence (i, j) at rate * (h_i - h_j)^2 / 2
+        # per field, h being half the sigma_z sum on the field support
+        half = [(rate, _half_sz_sum(kind, register)) for kind, rate in scenario.channels]
+        stochastic_exponents = sum(rate * np.subtract.outer(h, h) ** 2 / 2.0 for rate, h in half)
         stochastic = np.exp(-cfg.t_final * stochastic_exponents)
         channel = np.exp(-cfg.t_final * decay_exponents(scenario))
         differs = (np.abs(rho0.matrix) > 1e-15) & (np.abs(stochastic - channel) > 1e-12)
         for i, j in zip(*np.nonzero(np.triu(differs, 1))):
             divergence.append(
                 {
-                    "element": f"rho_{i + 1}{j + 1}",
+                    "element": element_key(i, j),
                     "stochastic_factor": float(stochastic[i, j]),
                     "channel_factor": float(channel[i, j]),
                 }

@@ -18,7 +18,7 @@ import numpy as np
 from .channels import NoiseScenario, evolve
 from .entanglement import concurrence_curve
 from .errors import UnsupportedScenarioError
-from .linalg import QUBITS
+from .linalg import QUBITS, element_key
 from .presets import PAPER_TAUS, scenario_layout
 from .states import StateSpec, projector, qubit_pairs, reduced_stacks, reduced_subsets
 
@@ -27,6 +27,9 @@ ZERO_FLOOR = 1e-13
 
 #: relative slack when comparing fitted timescales (handles exact-equality cases).
 AUDIT_TOL = 1e-6
+
+#: largest accepted time grid.
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,8 @@ class TimeGrid:
             raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if self.n_samples < 8:
             raise ValueError(f"n_samples must be at least 8, got {self.n_samples}")
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(f"n_samples must be at most {MAX_SAMPLES}, got {self.n_samples}")
 
     @property
     def times(self) -> np.ndarray:
@@ -173,16 +178,12 @@ class TimescaleReport:
     paper_taus: Optional[tuple[PaperTau, ...]]
 
 
-def _element_key(i: int, j: int) -> str:
-    return f"rho_{i + 1}{j + 1}"
-
-
 def _fit_offdiagonals(stack: np.ndarray, times: np.ndarray, prefix: str = "") -> dict[str, FitResult]:
     dim = stack.shape[-1]
     fits: dict[str, FitResult] = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            key = prefix + _element_key(i, j)
+            key = prefix + element_key(i, j)
             fits[key] = fit_exponential(Trajectory(times, np.abs(stack[:, i, j])))
     return fits
 

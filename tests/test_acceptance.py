@@ -21,7 +21,7 @@ from dephasim.channels import (
 from dephasim.cli import main
 from dephasim.entanglement import concurrence, concurrence_curve
 from dephasim.linalg import frobenius_distance
-from dephasim.montecarlo import TrajectoryConfig, compare_to_channel, fields_from_scenario, simulate_statistics
+from dephasim.montecarlo import TrajectoryConfig, compare_to_channel, simulate_statistics
 from dephasim.presets import PAPER_MATRIX, draw_state, named_scenario
 from dephasim.states import Fragile, GenericPure, Robust, analytic_evolved, projector, reduced_all
 from dephasim.timescales import (
@@ -249,7 +249,7 @@ def test_criterion_09_monte_carlo_oracle(tmp_path):
     # pair-collective fragile input: gamma^4 / gamma / untouched pattern
     spec = Fragile(0.6, 0.5, math.sqrt(1 - 0.61))
     rho0 = projector(spec).matrix
-    fields = fields_from_scenario(named_scenario("2q-collective", 1.0))
+    fields = named_scenario("2q-collective", 1.0).channels
     stats = simulate_statistics(rho0, fields, cfg)
     g = gamma(1.0, 1.0)
     for (i, j), power in (((0, 3), 4), ((0, 1), 1), ((1, 3), 1)):

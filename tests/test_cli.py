@@ -251,6 +251,9 @@ def test_unnormalised_coefficients_are_validation_errors(tmp_path, capsys, comma
         ("grid.t_max", "-1"),
         ("mc.seed", "-1"),
         ("sweep.seed", "-1"),
+        ("mc.trajectories", "10000001"),
+        ("mc.dt", "1e-9"),  # 10^9 phase-walk steps to mc.t
+        ("grid.samples", "100001"),
     ],
 )
 def test_validation_errors_name_their_own_key(key, value):
@@ -400,6 +403,21 @@ def test_sweep_small_run(tmp_path, capsys):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "class,scenario,draw,pair,verdict,tau_dis,tau_bound,margin"
     assert "0 FAIL" in capsys.readouterr().out
+
+
+def test_sweep_fit_failure_names_the_draw(tmp_path, capsys):
+    # under seed 0 the 51st generic draw reaches the zero floor too early to be fitted
+    conf = tmp_path / "s.conf"
+    conf.write_text(
+        "sweep.draws = 51\nsweep.seed = 0\nsweep.classes = generic\n"
+        "sweep.scenarios = 2q-collective\n"
+    )
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "class generic, scenario 2q-collective, draw 50: too few usable samples" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_line_chart_structure():

@@ -7,10 +7,9 @@ from dephasim.channels import Local, PairCollective, evolve, gamma
 from dephasim.errors import EquivalenceNotEstablishedError
 from dephasim.linalg import frobenius_distance
 from dephasim.montecarlo import (
-    FieldSpec,
+    BLOCK,
     TrajectoryConfig,
     compare_to_channel,
-    fields_from_scenario,
     simulate_statistics,
 )
 from dephasim.presets import draw_state, named_scenario
@@ -30,6 +29,21 @@ def test_config_validation():
         TrajectoryConfig(10, 0.1, 1, 0.0)
 
 
+def test_config_size_bounds():
+    TrajectoryConfig(10_000_000, 1e-5, 1, 1.0)  # the largest run accepted
+    with pytest.raises(ValueError, match=r"^n_trajectories must be in \[1, 10000000\]"):
+        TrajectoryConfig(10_000_001, 0.1, 1, 1.0)
+    with pytest.raises(ValueError, match="^dt must be at least t_final / 100000"):
+        TrajectoryConfig(10, 1e-9, 1, 1.0)
+
+
+@pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
+def test_negative_or_non_finite_rate_is_rejected(rate):
+    cfg = TrajectoryConfig(10, 0.1, 1, 1.0)
+    with pytest.raises(ValueError, match="rate must be finite and nonnegative"):
+        simulate_statistics(PLUS, ((Local("A"), rate),), cfg)
+
+
 def test_zero_fields_returns_input_exactly():
     rho = projector(GenericPure(0.5, 0.5, 0.5, 0.5))
     cfg = TrajectoryConfig(50, 0.1, 123, 1.0)
@@ -41,7 +55,7 @@ def test_zero_fields_returns_input_exactly():
 def test_single_qubit_coherence_decays_to_gamma():
     # |+><+| under a single local field: coherence shrinks by e^(-rate t / 2)
     cfg = TrajectoryConfig(20_000, 0.05, 7, 1.0)
-    stats = simulate_statistics(PLUS, (FieldSpec(Local("A"), 1.0),), cfg)
+    stats = simulate_statistics(PLUS, ((Local("A"), 1.0),), cfg)
     expected = 0.5 * gamma(1.0, 1.0)  # 0.5 * e^(-1/2)
     se = math.sqrt(stats.var_re[0, 1] / stats.n_trajectories)
     assert abs(stats.mean[0, 1].real - expected) < 4 * se
@@ -53,13 +67,13 @@ def test_diagonal_is_preserved_exactly():
     spec = draw_state("generic", rng)
     rho = projector(spec)
     cfg = TrajectoryConfig(200, 0.05, 5, 0.7)
-    stats = simulate_statistics(rho, fields_from_scenario(named_scenario("2q-collective", 1.0)), cfg)
+    stats = simulate_statistics(rho, named_scenario("2q-collective", 1.0).channels, cfg)
     assert np.array_equal(np.diag(stats.mean), np.diag(rho.matrix))
 
 
 def test_same_seed_is_bit_identical():
     spec = Fragile(0.6, 0.5, math.sqrt(1 - 0.61))
-    fields = fields_from_scenario(named_scenario("2q-collective", 1.0))
+    fields = named_scenario("2q-collective", 1.0).channels
     cfg = TrajectoryConfig(500, 0.02, 42, 1.0)
     a = simulate_statistics(projector(spec).matrix, fields, cfg)
     b = simulate_statistics(projector(spec).matrix, fields, cfg)
@@ -69,6 +83,20 @@ def test_same_seed_is_bit_identical():
     assert not np.array_equal(a.mean, c.mean)
 
 
+def test_same_seed_is_bit_identical_across_blocks():
+    # one trajectory past a block: the last block holds a single trajectory
+    rho0 = projector(Fragile(0.6, 0.5, math.sqrt(1 - 0.61))).matrix
+    fields = named_scenario("2q-collective", 1.0).channels
+    cfg = TrajectoryConfig(BLOCK + 1, 0.1, 42, 1.0)
+    a = simulate_statistics(rho0, fields, cfg)
+    b = simulate_statistics(rho0, fields, cfg)
+    assert a.n_trajectories == BLOCK + 1
+    for got, again in ((a.mean, b.mean), (a.var_re, b.var_re), (a.var_im, b.var_im)):
+        assert np.array_equal(got, again)
+    shorter = simulate_statistics(rho0, fields, TrajectoryConfig(BLOCK, 0.1, 42, 1.0))
+    assert not np.array_equal(a.mean, shorter.mean)
+
+
 def test_dt_independence_in_distribution():
     # the walk is exact in distribution, so halving dt only reshuffles noise
     spec = GenericPure(0.5, 0.5, 0.5, 0.5)
@@ -76,14 +104,14 @@ def test_dt_independence_in_distribution():
     exact = evolve(projector(spec).matrix, scenario, 1.0)
     for dt in (0.25, 0.125):
         cfg = TrajectoryConfig(4000, dt, 11, 1.0)
-        stats = simulate_statistics(projector(spec).matrix, fields_from_scenario(scenario), cfg)
+        stats = simulate_statistics(projector(spec).matrix, scenario.channels, cfg)
         assert frobenius_distance(stats.mean, exact) < 5 / math.sqrt(cfg.n_trajectories)
 
 
 def test_fragment_pattern_under_pair_collective():
     spec = Fragile(0.6, 0.5, math.sqrt(1 - 0.61))
     rho0 = projector(spec).matrix
-    fields = fields_from_scenario(named_scenario("2q-collective", 1.0))
+    fields = named_scenario("2q-collective", 1.0).channels
     cfg = TrajectoryConfig(20_000, 0.05, 9, 1.0)
     stats = simulate_statistics(rho0, fields, cfg)
     g = gamma(1.0, 1.0)
@@ -98,7 +126,7 @@ def test_fragment_pattern_under_pair_collective():
 def test_support_outside_register_is_rejected():
     cfg = TrajectoryConfig(10, 0.1, 1, 1.0)
     with pytest.raises(ValueError, match="support"):
-        simulate_statistics(PLUS, (FieldSpec(PairCollective("A", "B"), 1.0),), cfg)
+        simulate_statistics(PLUS, ((PairCollective("A", "B"), 1.0),), cfg)
 
 
 def test_compare_local_channel_passes():

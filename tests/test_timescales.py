@@ -94,6 +94,12 @@ def test_default_grid_spans_three_slowest_efoldings():
     assert grid.n_samples == 64
 
 
+def test_time_grid_size_bounds():
+    assert TimeGrid(1.0, 100_000).n_samples == 100_000  # times are built only when read
+    with pytest.raises(ValueError, match="^n_samples must be at most 100000"):
+        TimeGrid(1.0, 100_001)
+
+
 def test_fitted_taus_follow_decay_exponents():
     # an element scaled by g1^p g2^q decays at rate (p r1 + q r2) / 2
     rng = np.random.default_rng(2)
