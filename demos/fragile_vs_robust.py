@@ -36,10 +36,11 @@ for spec in (Fragile(s, 0.0, s), Robust(0.0, s, -s)):
 
 print("\nfragile timescales (rate 1):")
 report = build_report(Fragile(0.6, 0.5, np.sqrt(1 - 0.61)), scenario, grid)
-for key, fit in report.element_fits.items():
-    if fit.decays:
-        print(f"  {key}: tau = {fit.tau:.3f}")
-print(f"  concurrence: tau = {report.concurrence_fits['AB'].tau:.3f}")
+for key, row in report.element_taus.items():
+    if row.decays:
+        print(f"  {key}: tau = {row.tau:.3f}")
+dis = report.concurrence_taus["AB"]
+print(f"  concurrence: tau = {dis.tau:.3f} (from C0 = {dis.amplitude:.3f} toward {dis.limit:.3f})")
 
 audit = audit_inequality(report)
 pair = audit.pairs[0]

@@ -34,8 +34,8 @@ for name in scenarios:
     report = build_report(spec, scenario)
     audit = audit_inequality(report)
     taus = {
-        pair: ("const" if fit.is_constant else f"{fit.tau:.2f}")
-        for pair, fit in report.concurrence_fits.items()
+        pair: (f"{row.tau:.2f}" if row.decays else "const")
+        for pair, row in report.concurrence_taus.items()
     }
     verdicts = {p.pair: p.verdict for p in audit.pairs}
     print(f"{name:20s} C-decay taus {taus}   audit {verdicts}")

@@ -2,9 +2,10 @@
 
 Simulates two- and three-qubit registers under local and collective pure
 dephasing in the operator-sum picture, tracks coherence and bipartite
-entanglement, extracts decay timescales, audits the disentanglement-vs-
-decoherence inequality, and cross-checks the channels against a stochastic
-Hamiltonian Monte Carlo average.
+entanglement, reads exact decay timescales from the exponent matrix and the
+closed-form evolution, audits the disentanglement-vs-decoherence inequality,
+and cross-checks the channels against a stochastic Hamiltonian Monte Carlo
+average.
 """
 
 from .channels import (
@@ -72,6 +73,7 @@ from .timescales import (
     PairAudit,
     PaperTau,
     TimeGrid,
+    Timescale,
     TimescaleReport,
     Trajectory,
     audit_inequality,

@@ -1,35 +1,48 @@
-"""Decay-timescale extraction and the disentanglement-vs-decoherence audit.
+"""Exact decay timescales and the disentanglement-vs-decoherence audit.
 
-Trajectories of coherence magnitudes and concurrence are fitted to single
-exponentials by log-linear regression; the fitted e-folding times are
-compared against the published symbolic values and against each other.
-The audit checks, pair by pair, that entanglement never outlives the
-slowest decaying coherence at any scale.
+Every coherence (i, j) decays as exp(-E_ij t), E being the scenario's
+exponent matrix, so its e-folding time is read from E.  The concurrence C of
+a pair falls toward the concurrence C_inf of rho0 masked to E_ij = 0; its
+time is the first t at which C - C_inf = (C0 - C_inf)/e, found on the exact
+evolution.  The audit checks, pair by pair, that entanglement never outlives
+the slowest decaying coherence at any scale.  ``fit_exponential`` is kept as
+an independent cross-check of the exact values on sampled curves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .channels import NoiseScenario, evolve
+from .channels import NoiseScenario, decay_exponents, evolve
 from .entanglement import concurrence_curve
 from .errors import UnsupportedScenarioError
-from .linalg import QUBITS, element_key
+from .linalg import QUBITS, element_key, partial_trace
 from .presets import PAPER_TAUS, scenario_layout
 from .states import StateSpec, projector, qubit_pairs, reduced_stacks, reduced_subsets
 
-#: trajectory samples at or below this magnitude are treated as exact zeros.
+#: magnitudes at or below this are treated as exact zeros.
 ZERO_FLOOR = 1e-13
 
-#: relative slack when comparing fitted timescales (handles exact-equality cases).
-AUDIT_TOL = 1e-6
+#: relative slack when comparing exact timescales (handles exact-equality cases).
+AUDIT_TOL = 1e-12
 
 #: largest accepted time grid.
 MAX_SAMPLES = 100_000
+
+#: samples of the default time grid.
+DEFAULT_SAMPLES = 64
+
+#: fit_exponential treats a curve whose relative variation is below this as constant.
+FLAT_THRESHOLD = 1e-9
+
+#: a crossing is found once value - level is this fraction of value(0) - level;
+#: at most MAX_REFINE_STEPS regula falsi steps refine it.
+CROSSING_TOL = 1e-14
+MAX_REFINE_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -37,7 +50,7 @@ class TimeGrid:
     """Uniform sampling grid on [0, t_max]."""
 
     t_max: float
-    n_samples: int = 64
+    n_samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self):
         if not 0 < self.t_max < math.inf:
@@ -52,10 +65,10 @@ class TimeGrid:
         return np.linspace(0.0, self.t_max, self.n_samples)
 
 
-def default_grid(scenario: NoiseScenario, n_samples: int = 64) -> TimeGrid:
-    """64 uniform samples on [0, 3 / min active rate]."""
+def default_grid(scenario: NoiseScenario) -> TimeGrid:
+    """DEFAULT_SAMPLES uniform samples on [0, 3 / min active rate]."""
     rate = scenario.min_rate
-    return TimeGrid(3.0 / rate if rate > 0 else 3.0, n_samples)
+    return TimeGrid(3.0 / rate if rate > 0 else 3.0, DEFAULT_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -97,8 +110,11 @@ class FitResult:
         return not self.is_constant and math.isfinite(self.tau)
 
 
-def fit_exponential(traj: Trajectory, flat_threshold: float = 1e-9) -> FitResult:
-    """Fit ln(value) against t over the samples above the zero floor."""
+def fit_exponential(traj: Trajectory) -> FitResult:
+    """Fit ln(value) against t over the samples above the zero floor.
+
+    A cross-check of the exact timescales; no report depends on it.
+    """
     values = traj.values
     if values.size < 8:
         raise ValueError(f"need at least 8 samples, got {values.size}")
@@ -108,7 +124,7 @@ def fit_exponential(traj: Trajectory, flat_threshold: float = 1e-9) -> FitResult
     if peak <= ZERO_FLOOR:
         return FitResult(math.inf, 0.0, 0.0, True)
     variation = float((peak - np.min(values)) / peak)
-    if variation < flat_threshold:
+    if variation < FLAT_THRESHOLD:
         return FitResult(math.inf, float(np.mean(values)), variation, True)
     rises = np.diff(values)
     non_monotone = bool(np.max(rises, initial=0.0) > 1e-9 * peak)
@@ -129,7 +145,7 @@ class PaperTau:
     `printed` is the transcribed value; `fitted_equiv` is the e-folding time
     of the corresponding decay factor (the two differ where the source quotes
     an additive composition of rates, and for the single-qubit entries).
-    `convention` states which fitted quantity reproduces the value:
+    `convention` states which measured quantity reproduces the value:
     "element" for coherence magnitudes, "C" / "C2" for concurrence.
     """
 
@@ -165,27 +181,103 @@ def paper_tau_table(state_class: str, scenario: NoiseScenario) -> tuple[PaperTau
 
 
 @dataclass(frozen=True)
+class Timescale:
+    """Exact e-folding time of a curve that starts at `amplitude`; inf if it does not decay.
+
+    Concurrence rows also carry `limit`, the value as t -> infinity; their
+    tau is the e-folding time of value - limit.
+    """
+
+    tau: float
+    amplitude: float
+    limit: Optional[float] = None
+
+    @property
+    def decays(self) -> bool:
+        return math.isfinite(self.tau)
+
+
+@dataclass(frozen=True)
 class TimescaleReport:
-    """Fits of every coherence element and concurrence for one run."""
+    """Timescales of every coherence element and concurrence for one run."""
 
     state_class: str
     scenario_label: str
     register: tuple[str, ...]
-    element_fits: dict[str, FitResult]
-    reduced_fits: dict[str, FitResult]
-    concurrence_fits: dict[str, FitResult]
-    concurrence_sq_fits: dict[str, FitResult]
+    element_taus: dict[str, Timescale]
+    reduced_taus: dict[str, Timescale]
+    concurrence_taus: dict[str, Timescale]
+    concurrence_sq_taus: dict[str, Timescale]
     paper_taus: Optional[tuple[PaperTau, ...]]
 
 
-def _fit_offdiagonals(stack: np.ndarray, times: np.ndarray, prefix: str = "") -> dict[str, FitResult]:
-    dim = stack.shape[-1]
-    fits: dict[str, FitResult] = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            key = prefix + element_key(i, j)
-            fits[key] = fit_exponential(Trajectory(times, np.abs(stack[:, i, j])))
-    return fits
+def _coherence_taus(
+    rho0: np.ndarray, exponents: np.ndarray, prefix: str = ""
+) -> dict[str, Timescale]:
+    """1 / E_ij and |rho0_ij| of every upper off-diagonal element."""
+    amplitude = np.abs(rho0)
+    live = (exponents > 0) & (amplitude > ZERO_FLOOR)
+    tau = np.divide(1.0, exponents, out=np.full(exponents.shape, math.inf), where=live)
+    return {
+        prefix + element_key(i, j): Timescale(float(tau[i, j]), float(amplitude[i, j]))
+        for i, j in zip(*np.triu_indices(len(rho0), 1))
+    }
+
+
+def _crossing(value: Callable[[float], float], level: float, times, samples) -> float:
+    """First t at which value(t), sampled as `samples` over `times`, falls to `level`.
+
+    The first sample at or below the level and the one before it bracket the
+    crossing; when no sample is, t doubles past the grid until value(t) is.
+    Illinois regula falsi on value(t) then refines the bracket; the result is
+    the evaluated t nearest the level.
+    """
+    k = int(np.argmax(samples <= level))
+    if k:
+        (lo, hi), (f_lo, f_hi) = times[k - 1 : k + 1], samples[k - 1 : k + 1] - level
+    else:
+        lo, f_lo, hi = times[-1], samples[-1] - level, 2.0 * times[-1]
+        while (f_hi := value(hi) - level) > 0:
+            lo, f_lo, hi = hi, f_hi, 2.0 * hi
+    tol = CROSSING_TOL * (samples[0] - level)
+    best = min((abs(f_lo), lo), (abs(f_hi), hi))
+    side = 0
+    for _ in range(MAX_REFINE_STEPS):
+        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if best[0] <= tol or not lo < t < hi:
+            break
+        f = value(t) - level
+        best = min(best, (abs(f), t))
+        # Illinois: an end kept twice in a row has its value halved
+        if f > 0:
+            lo, f_lo, f_hi = t, f, f_hi / (2.0 if side == 1 else 1.0)
+            side = 1
+        else:
+            hi, f_hi, f_lo = t, f, f_lo / (2.0 if side == -1 else 1.0)
+            side = -1
+    return float(best[1])
+
+
+def _disentanglement(rho0, exponents, pair, register, times, samples) -> list[Timescale]:
+    """Timescales of a pair's C and C**2 toward their limits; `samples` is C over `times`.
+
+    The C**p tau is the first t at which C falls to the p-th root of
+    C_inf**p + (C0**p - C_inf**p) / e; inf if C0**p - C_inf**p is within the zero floor.
+    """
+
+    def masked_c(mask) -> float:
+        return float(concurrence_curve(partial_trace(rho0 * mask, pair, register)))
+
+    c_inf = masked_c(exponents == 0)
+    rows = []
+    for power in (1, 2):
+        start, limit = float(samples[0]) ** power, c_inf**power
+        tau = math.inf
+        if start - limit > ZERO_FLOOR:
+            level = (limit + (start - limit) / math.e) ** (1.0 / power)
+            tau = _crossing(lambda t: masked_c(np.exp(-t * exponents)), level, times, samples)
+        rows.append(Timescale(tau, start, limit))
+    return rows
 
 
 def sample_evolution(spec: StateSpec, scenario: NoiseScenario, grid: TimeGrid) -> np.ndarray:
@@ -196,7 +288,11 @@ def sample_evolution(spec: StateSpec, scenario: NoiseScenario, grid: TimeGrid) -
 def build_report(
     spec: StateSpec, scenario: NoiseScenario, grid: Optional[TimeGrid] = None
 ) -> TimescaleReport:
-    """Evolve, fit every coherence and concurrence trajectory, attach paper values."""
+    """Exact timescales of every coherence and concurrence, with the paper's values.
+
+    Coherence taus are read from E.  Each pair's concurrence taus are found
+    on the exact curve, bracketed by the curve sampled over `grid`.
+    """
     if len(spec.register) != scenario.register_size:
         raise ValueError(
             f"state register {spec.register} does not match a "
@@ -204,25 +300,30 @@ def build_report(
         )
     if grid is None:
         grid = default_grid(scenario)
-    times = grid.times
     register = spec.register
     stack = sample_evolution(spec, scenario, grid)
+    rho0 = stack[0]  # every grid starts at t = 0
+    exponents = decay_exponents(scenario)
 
-    element_fits = _fit_offdiagonals(stack, times)
-
-    reduced = reduced_stacks(stack, register)
-    reduced_fits: dict[str, FitResult] = {}
+    reduced_taus: dict[str, Timescale] = {}
     for keep in reduced_subsets(register):
-        label = "".join(keep)
-        reduced_fits.update(_fit_offdiagonals(reduced[label], times, prefix=f"{label}:"))
+        # the nonzero terms of a reduced element share one exponent (a test
+        # pins this), so reduced rho0 * E over reduced rho0 is that exponent
+        reduced = partial_trace(rho0, keep, register)
+        weighted = partial_trace(rho0 * exponents, keep, register)
+        live = np.abs(reduced) > ZERO_FLOOR
+        rates = np.divide(weighted, reduced, out=np.zeros_like(reduced), where=live).real
+        reduced_taus.update(_coherence_taus(reduced, rates, "".join(keep) + ":"))
 
-    concurrence_fits: dict[str, FitResult] = {}
-    concurrence_sq_fits: dict[str, FitResult] = {}
+    reduced_stack = reduced_stacks(stack, register)
+    concurrence_taus: dict[str, Timescale] = {}
+    concurrence_sq_taus: dict[str, Timescale] = {}
     for pair in qubit_pairs(register):
         label = "".join(pair)
-        c = concurrence_curve(reduced[label])
-        concurrence_fits[label] = fit_exponential(Trajectory(times, c))
-        concurrence_sq_fits[label] = fit_exponential(Trajectory(times, c * c))
+        c = concurrence_curve(reduced_stack[label])
+        concurrence_taus[label], concurrence_sq_taus[label] = _disentanglement(
+            rho0, exponents, pair, register, grid.times, c
+        )
 
     try:
         paper = paper_tau_table(spec.name, scenario)
@@ -233,15 +334,15 @@ def build_report(
         state_class=spec.name,
         scenario_label=scenario.label,
         register=register,
-        element_fits=element_fits,
-        reduced_fits=reduced_fits,
-        concurrence_fits=concurrence_fits,
-        concurrence_sq_fits=concurrence_sq_fits,
+        element_taus=_coherence_taus(rho0, exponents),
+        reduced_taus=reduced_taus,
+        concurrence_taus=concurrence_taus,
+        concurrence_sq_taus=concurrence_sq_taus,
         paper_taus=paper,
     )
 
 
-#: the scale each published label is fitted at, as qubits per coherence
+#: the scale each published label is measured at, as qubits per coherence
 #: ("dis": the concurrence in the entry's convention), and which of that
 #: scale's decaying taus it quotes.
 _PAPER_SCALES = {
@@ -255,30 +356,31 @@ _PAPER_SCALES = {
 
 
 def _decaying_taus(report: TimescaleReport, size: int, qubits=QUBITS) -> list[float]:
-    """Fitted taus of the decaying coherences of every `size`-qubit matrix on `qubits`.
+    """Taus of the decaying coherences of every `size`-qubit matrix on `qubits`.
 
     `size` equal to the register is the full state; smaller sizes are the
     reductions whose kept qubits all lie in `qubits`.
     """
     if size == len(report.register):
-        fits = report.element_fits.values()
+        rows = report.element_taus.values()
     else:
-        fits = [
-            fit
-            for key, fit in report.reduced_fits.items()
+        rows = [
+            row
+            for key, row in report.reduced_taus.items()
             if len(kept := key.split(":")[0]) == size and set(kept) <= set(qubits)
         ]
-    return [fit.tau for fit in fits if fit.decays]
+    return [row.tau for row in rows if row.decays]
 
 
 def measure_paper_taus(report: TimescaleReport) -> dict[str, Optional[float]]:
-    """Fitted counterpart of each published timescale label in the report."""
+    """Measured counterpart of each published timescale label in the report."""
     out: dict[str, Optional[float]] = {}
     for entry in report.paper_taus or ():
         scale, pick = _PAPER_SCALES[entry.label]
         if scale == "dis":
-            fits = report.concurrence_fits if entry.convention == "C" else report.concurrence_sq_fits
-            taus = [fit.tau for fit in fits.values() if fit.decays]
+            c = entry.convention == "C"
+            rows = (report.concurrence_taus if c else report.concurrence_sq_taus).values()
+            taus = [row.tau for row in rows if row.decays]
         else:
             taus = _decaying_taus(report, scale)
         out[entry.label] = pick(taus) if taus else None
@@ -315,16 +417,16 @@ class AuditResult:
 def audit_inequality(report: TimescaleReport) -> AuditResult:
     """Check tau_dis <= slowest decaying coherence tau, per pair and per scale.
 
-    The disentanglement time is the fitted e-folding of the concurrence
-    itself (the stricter of the two conventions).  For every scale that has
-    at least one decaying coherence element (full register, the pair's
-    reduced matrix, the pair members' single-qubit reductions), the bound
-    is that scale's slowest element; the pair passes if tau_dis stays at or
-    below every applicable bound.
+    The disentanglement time is the e-folding time of the concurrence itself
+    toward its limit (the stricter of the two conventions).  For every scale
+    that has at least one decaying coherence element (full register, the
+    pair's reduced matrix, the pair members' single-qubit reductions), the
+    bound is that scale's slowest element; the pair passes if tau_dis stays
+    at or below every applicable bound.
     """
     results = []
-    for pair, cfit in report.concurrence_fits.items():
-        if not cfit.decays or cfit.amplitude <= ZERO_FLOOR:
+    for pair, dis in report.concurrence_taus.items():
+        if not dis.decays:
             results.append(PairAudit(pair, "VACUOUS"))
             continue
         scales = [_decaying_taus(report, size, pair) for size in range(len(report.register), 0, -1)]
@@ -333,6 +435,6 @@ def audit_inequality(report: TimescaleReport) -> AuditResult:
             results.append(PairAudit(pair, "VACUOUS"))
             continue
         bound = min(bounds)
-        verdict = "PASS" if cfit.tau <= bound * (1.0 + AUDIT_TOL) else "FAIL"
-        results.append(PairAudit(pair, verdict, cfit.tau, bound, bound / cfit.tau))
+        verdict = "PASS" if dis.tau <= bound * (1.0 + AUDIT_TOL) else "FAIL"
+        results.append(PairAudit(pair, verdict, dis.tau, bound, bound / dis.tau))
     return AuditResult(report.state_class, report.scenario_label, tuple(results))

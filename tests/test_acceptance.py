@@ -136,11 +136,11 @@ def test_criterion_06_fitted_timescales():
         dim = rho0.shape[0]
         for i in range(dim):
             for j in range(i + 1, dim):
-                fit = report.element_fits[f"rho_{i + 1}{j + 1}"]
-                if not fit.decays:
+                row = report.element_taus[f"rho_{i + 1}{j + 1}"]
+                if not row.decays:
                     continue
                 predicted = -1.0 / math.log(abs(ref[i, j] / rho0[i, j]))
-                if abs(fit.tau - predicted) > 0.01 * predicted:
+                if abs(row.tau - predicted) > 1e-12 * predicted:
                     ok = False
                     detail.append(f"{cls}/{scen_name}/rho_{i+1}{j+1}")
     # the named published values at unit rate
@@ -155,10 +155,11 @@ def test_criterion_06_fitted_timescales():
     for (cls, scen_name, label), expected in named.items():
         report = build_report(draw_state(cls, rng), named_scenario(scen_name, 1.0))
         got = measure_paper_taus(report)[label]
-        if got is None or abs(got - expected) > 0.01 * expected:
+        if got is None or abs(got - expected) > 1e-12 * expected:
             ok = False
             detail.append(f"{cls}/{scen_name}/{label}={got}")
-    _report(6, f"fitted e-folding times within 1%{'; bad: ' + ','.join(detail) if detail else ''}", ok)
+    bad = "; bad: " + ",".join(detail) if detail else ""
+    _report(6, f"exact e-folding times within 1e-12{bad}", ok)
 
 
 def test_criterion_07_inequality_audit_never_fails():

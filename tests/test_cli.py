@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -294,7 +295,9 @@ def test_negative_seed_flag_is_validation_error(fragile_conf, tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_run_fit_failure_names_the_horizon(tmp_path, capsys):
+def test_run_long_horizon_is_exact(tmp_path, capsys):
+    # 64 samples over 1000 / rate: the concurrence is below its level from
+    # the second sample on, and only the refinement on the exact curve finds tau
     conf = tmp_path / "long.conf"
     conf.write_text(
         FRAGILE_CONF.replace("rate = 1.0", "rate = 2.0")
@@ -302,10 +305,12 @@ def test_run_fit_failure_names_the_horizon(tmp_path, capsys):
         .replace("grid.samples = 16", "grid.samples = 64")
     )
     out = tmp_path / "out"
-    assert main(["run", "--config", str(conf), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "grid.t_max" in err and "shorten the horizon" in err
-    assert not out.exists()
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+    assert "audit: PASS" in capsys.readouterr().out.splitlines()
+    with (out / "timescales.csv").open() as fh:
+        rows = {(row["kind"], row["key"]): row for row in csv.DictReader(fh)}
+    assert abs(float(rows["concurrence", "AB"]["tau"]) - 0.25) < 1e-12
+    assert float(rows["concurrence", "AB"]["limit"]) == 0.0
 
 
 def test_run_parse_failure_exit_code(tmp_path):
@@ -405,19 +410,19 @@ def test_sweep_small_run(tmp_path, capsys):
     assert "0 FAIL" in capsys.readouterr().out
 
 
-def test_sweep_fit_failure_names_the_draw(tmp_path, capsys):
-    # under seed 0 the 51st generic draw reaches the zero floor too early to be fitted
+def test_sweep_zero_floor_draw_passes(tmp_path, capsys):
+    # under seed 0 the 51st generic draw's concurrence reaches zero within a few grid samples
     conf = tmp_path / "s.conf"
     conf.write_text(
         "sweep.draws = 51\nsweep.seed = 0\nsweep.classes = generic\n"
         "sweep.scenarios = 2q-collective\n"
     )
     out = tmp_path / "sw"
-    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "class generic, scenario 2q-collective, draw 50: too few usable samples" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert "51 pair verdicts" in summary and "0 FAIL" in summary
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 51 and not any(",FAIL," in row for row in rows)
 
 
 def test_line_chart_structure():
