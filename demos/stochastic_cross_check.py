@@ -1,10 +1,11 @@
 """Cross-check the operator-sum channels against stochastic unitary averages.
 
-Each trajectory rotates the state by diagonal phases driven by white-noise
-fields; the ensemble mean reproduces the local and pair-collective channels
-to statistical accuracy.  The triple-collective operators are the known
-exception: their corner decay differs from the phase-diffusion prediction,
-which the forced comparison quantifies instead of hiding.
+Each trajectory rotates the state by diagonal phases: every white-noise
+field's phase at time t is drawn once, as N(0, rate * t).  The ensemble mean
+reproduces the local and pair-collective channels to statistical accuracy.
+The triple-collective operators are the known exception: their corner decay
+differs from the phase-diffusion prediction, which the forced comparison
+quantifies instead of hiding.
 """
 
 from dephasim import (
@@ -19,7 +20,7 @@ spec = GenericPure(0.5, 0.5, 0.5, 0.5)
 
 print("convergence to the local channel (rate 1, t = 1):")
 for n in (100, 1000, 10_000):
-    cfg = TrajectoryConfig(n_trajectories=n, dt=0.02, seed=123, t_final=1.0)
+    cfg = TrajectoryConfig(n_trajectories=n, seed=123, t_final=1.0)
     cmp_ = compare_to_channel(spec, named_scenario("2q-local-A", 1.0), cfg)
     print(
         f"  n={n:>6d}: distance {cmp_.distance:.5f}  "
@@ -27,7 +28,7 @@ for n in (100, 1000, 10_000):
     )
 
 print("\npair-collective channel, same ensemble machinery:")
-cfg = TrajectoryConfig(n_trajectories=10_000, dt=0.02, seed=7, t_final=1.0)
+cfg = TrajectoryConfig(n_trajectories=10_000, seed=7, t_final=1.0)
 cmp_pair = compare_to_channel(spec, named_scenario("2q-collective", 1.0), cfg)
 print(f"  distance {cmp_pair.distance:.5f}, passed: {cmp_pair.passed}")
 

@@ -53,6 +53,7 @@ from .states import (
 )
 from .svgplot import line_chart
 from .timescales import (
+    ZERO_FLOOR,
     TimeGrid,
     TimescaleReport,
     audit_inequality,
@@ -229,7 +230,7 @@ def _plots(columns: dict[str, np.ndarray], log_y: bool) -> dict[str, str]:
     element_series = [
         (name.removeprefix("abs_"), times, vals)
         for name, vals in columns.items()
-        if name.startswith("abs_rho_") and np.max(vals) > 1e-13
+        if name.startswith("abs_rho_") and np.max(vals) > ZERO_FLOOR
     ]
     ent_series = [
         (name, times, vals)
@@ -310,7 +311,6 @@ def _comparison_payload(cmp_: ChannelComparison) -> dict:
         "scenario": cmp_.scenario_label,
         "n_trajectories": cmp_.n_trajectories,
         "seed": cmp_.seed,
-        "dt": cmp_.dt,
         "t_final": cmp_.t_final,
         "distance": cmp_.distance,
         "distance_bound": DISTANCE_FACTOR * cmp_.expected_scale,

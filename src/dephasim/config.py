@@ -17,7 +17,7 @@ from .channels import Local, NoiseScenario, PairCollective, TripleCollective
 from .montecarlo import TrajectoryConfig
 from .presets import SCENARIO_LAYOUTS
 from .states import STATE_TYPES, StateSpec, projector, slots
-from .timescales import TimeGrid, default_grid
+from .timescales import DEFAULT_SAMPLES, TimeGrid, default_grid
 
 
 class ConfigParseError(Exception):
@@ -46,13 +46,18 @@ _KEY_PATTERNS = [
     r"plots\.log_y",
     r"convention",
     r"out",
-    r"mc\.(trajectories|dt|seed|t)",
+    r"mc\.(trajectories|seed|t)",
     r"sweep\.(draws|seed|classes|scenarios|rate)",
 ]
 _KEY_RE = re.compile("^(" + "|".join(_KEY_PATTERNS) + ")$")
 
 OUTPUT_GROUPS = ("elements", "concurrence", "eof", "reduced", "timescales", "audit")
 DEFAULT_OUTPUTS = ("elements", "concurrence", "eof", "timescales", "audit")
+
+#: accepted range of every rate and horizon; the products the code forms of
+#: them (rate * t, their square roots and their ratios) then stay finite
+SCALE_RANGE = (1e-100, 1e100)
+
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Raw key -> value mapping; syntax errors only."""
@@ -101,6 +106,15 @@ def _as_float(raw: dict[str, str], key: str, default: Optional[float] = None) ->
         raise ConfigValidationError(key, f"not a number: {raw[key]!r}") from None
     if not math.isfinite(value):
         raise ConfigValidationError(key, f"must be finite, got {raw[key]!r}")
+    return value
+
+
+def _as_scale(raw: dict[str, str], key: str, default: Optional[float] = None) -> float:
+    """A rate or horizon within SCALE_RANGE."""
+    value = _as_float(raw, key, default)
+    low, high = SCALE_RANGE
+    if not low <= value <= high:
+        raise ConfigValidationError(key, f"must be in [{low:g}, {high:g}], got {value!r}")
     return value
 
 
@@ -186,9 +200,7 @@ def scenario_from(raw: dict[str, str]) -> NoiseScenario:
         qubits = tuple(
             q.strip().upper() for q in raw.get(f"{prefix}.qubits", "").split(",") if q.strip()
         )
-        rate = _as_float(raw, f"{prefix}.rate")
-        if rate <= 0:
-            raise ConfigValidationError(f"{prefix}.rate", f"must be positive, got {rate}")
+        rate = _as_scale(raw, f"{prefix}.rate")
         try:
             if kind_name == "local":
                 if len(qubits) != 1:
@@ -226,15 +238,15 @@ def scenario_from(raw: dict[str, str]) -> NoiseScenario:
 
 
 def grid_from(raw: dict[str, str], scenario: NoiseScenario) -> TimeGrid:
-    samples = _as_int(raw, "grid.samples", 64)
+    samples = _as_int(raw, "grid.samples", DEFAULT_SAMPLES)
     if "grid.t_max" in raw:
-        t_max = _as_float(raw, "grid.t_max")
+        t_max = _as_scale(raw, "grid.t_max")
     else:
         t_max = default_grid(scenario).t_max
     try:
         return TimeGrid(t_max, samples)
     except ValueError as exc:
-        raise _field_error(exc, {"t_max": "grid.t_max", "n_samples": "grid.samples"}) from None
+        raise ConfigValidationError("grid.samples", str(exc)) from None
 
 
 def mc_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Optional[TrajectoryConfig]:
@@ -242,18 +254,11 @@ def mc_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Optiona
         return None
     n = _as_int(raw, "mc.trajectories", 10_000)
     seed = seed_override if seed_override is not None else _as_int(raw, "mc.seed")
-    dt = _as_float(raw, "mc.dt", 0.02)
-    t_final = _as_float(raw, "mc.t", 1.0)
+    t_final = _as_scale(raw, "mc.t", 1.0)
     try:
-        return TrajectoryConfig(n_trajectories=n, dt=dt, seed=seed, t_final=t_final)
+        return TrajectoryConfig(n_trajectories=n, seed=seed, t_final=t_final)
     except ValueError as exc:
-        keys = {
-            "n_trajectories": "mc.trajectories",
-            "dt": "mc.dt",
-            "t_final": "mc.t",
-            "seed": "mc.seed",
-        }
-        raise _field_error(exc, keys) from None
+        raise _field_error(exc, {"n_trajectories": "mc.trajectories", "seed": "mc.seed"}) from None
 
 
 @dataclass(frozen=True)
@@ -280,9 +285,7 @@ def sweep_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Swee
     for name in scenarios:
         if name not in SCENARIO_LAYOUTS:
             raise ConfigValidationError("sweep.scenarios", f"unknown scenario {name!r}")
-    rate = _as_float(raw, "sweep.rate", 1.0)
-    if rate <= 0:
-        raise ConfigValidationError("sweep.rate", f"must be positive, got {rate}")
+    rate = _as_scale(raw, "sweep.rate", 1.0)
     return SweepConfig(draws, seed, classes, scenarios, rate)
 
 

@@ -1,12 +1,12 @@
 """Monte Carlo cross-check of the channels by stochastic diagonal unitaries.
 
-Each trajectory draws one white-noise phase per field as a Gaussian random
-walk (per-step variance rate * dt, so the distribution of the accumulated
-phase is exact for any dt) and rotates the initial state by the resulting
-diagonal unitary.  Trajectories are drawn in blocks of BLOCK from one
-generator seeded by the run's seed, each block one broadcast; averaging
-reproduces the local and pair-collective channels.  The triple-collective
-operators are a documented exception and are only compared on request.
+A white-noise field of a given rate accumulates a phase distributed exactly
+as N(0, rate * t) by time t, so each trajectory draws that phase once per
+field and rotates the initial state by the resulting diagonal unitary.
+Trajectories are drawn in blocks of BLOCK from one generator seeded by the
+run's seed, each block one broadcast; averaging reproduces the local and
+pair-collective channels.  The triple-collective operators are a documented
+exception and are only compared on request.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from .states import StateSpec, projector
 DISTANCE_FACTOR = 5.0
 Z_LIMIT = 4.0
 
-#: largest accepted run: trajectories, and phase-walk steps t_final / dt
+#: largest accepted run
 MAX_TRAJECTORIES = 10_000_000
-MAX_STEPS = 100_000
 
 #: trajectories drawn and accumulated in one broadcast; bounds a run's memory
 BLOCK = 1024
@@ -36,10 +35,9 @@ BLOCK = 1024
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Size, step, seed and horizon of a Monte Carlo run."""
+    """Size, seed and horizon of a Monte Carlo run."""
 
     n_trajectories: int
-    dt: float
     seed: int
     t_final: float
 
@@ -50,14 +48,8 @@ class TrajectoryConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0 < self.t_final < math.inf:
             raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
-        if self.dt > self.t_final:
-            raise ValueError("dt must not exceed t_final")
-        if self.t_final / self.dt > MAX_STEPS:
-            raise ValueError(f"dt must be at least t_final / {MAX_STEPS}, got {self.dt}")
 
 
 def _half_sz_sum(kind: ChannelKind, register: tuple[str, ...]) -> np.ndarray:
@@ -66,15 +58,6 @@ def _half_sz_sum(kind: ChannelKind, register: tuple[str, ...]) -> np.ndarray:
     if missing:
         raise ValueError(f"field support {kind.support} outside register {register}")
     return 0.5 * sum(1.0 - 2.0 * subspace_index((q,), register) for q in kind.support)
-
-
-def _step_stds(rates: np.ndarray, dt: float, t_final: float) -> np.ndarray:
-    """(steps, fields) standard deviations of the phase walks; a field's variances sum to rate*t."""
-    n_full = int(math.floor(t_final / dt + 1e-12))
-    rem = t_final - n_full * dt
-    durations = np.full(n_full + (rem > 1e-12 * t_final), dt)
-    durations[n_full:] = rem
-    return np.sqrt(np.multiply.outer(durations, rates))
 
 
 @dataclass(frozen=True)
@@ -94,8 +77,8 @@ def simulate_statistics(
 
     `fields` are (ChannelKind, rate) pairs, as in `NoiseScenario.channels`.
     Deterministic for a given seed: one generator seeded with cfg.seed draws
-    the trajectories in blocks of BLOCK, one (block, fields) array of normals
-    per step of the walk, and the blocks accumulate in order.
+    the trajectories in blocks of BLOCK, one (block, fields) array of
+    accumulated phases per block, and the blocks accumulate in order.
     """
     mat = np.asarray(rho0.matrix if hasattr(rho0, "matrix") else rho0, dtype=complex)
     dim = mat.shape[0]
@@ -108,16 +91,14 @@ def simulate_statistics(
             raise ValueError(f"rate must be finite and nonnegative, got {rate}")
 
     charges = np.array([_half_sz_sum(kind, register) for kind, _ in fields]).reshape(-1, dim)
-    stds = _step_stds(np.array([rate for _, rate in fields], dtype=float), cfg.dt, cfg.t_final)
+    stds = np.sqrt(np.array([rate for _, rate in fields], dtype=float) * cfg.t_final)
 
     rng = np.random.default_rng(cfg.seed)
     acc = np.zeros((dim, dim), dtype=complex)
     acc_re2 = np.zeros((dim, dim))
     acc_im2 = np.zeros((dim, dim))
     for start in range(0, cfg.n_trajectories, BLOCK):
-        phases = np.zeros((min(BLOCK, cfg.n_trajectories - start), len(charges)))
-        for std in stds:
-            phases += rng.standard_normal(phases.shape) * std
+        phases = rng.standard_normal((min(BLOCK, cfg.n_trajectories - start), len(stds))) * stds
         theta = phases @ charges
         contrib = mat * np.exp(1j * (theta[:, :, None] - theta[:, None, :]))
         acc += contrib.sum(axis=0)
@@ -146,7 +127,6 @@ class ChannelComparison:
     scenario_label: str
     n_trajectories: int
     seed: int
-    dt: float
     t_final: float
     distance: float
     expected_scale: float
@@ -227,7 +207,6 @@ def compare_to_channel(
         scenario_label=scenario.label,
         n_trajectories=cfg.n_trajectories,
         seed=cfg.seed,
-        dt=cfg.dt,
         t_final=cfg.t_final,
         distance=frobenius_distance(stats.mean, exact),
         expected_scale=1.0 / math.sqrt(cfg.n_trajectories),

@@ -154,10 +154,6 @@ class PaperTau:
     convention: str
     fitted_equiv: float
 
-    @property
-    def matches_fit(self) -> bool:
-        return abs(self.printed - self.fitted_equiv) <= 1e-12 * max(1.0, self.printed)
-
 
 def paper_tau_table(state_class: str, scenario: NoiseScenario) -> tuple[PaperTau, ...]:
     """Published timescales for a state class under a recognized scenario."""

@@ -241,7 +241,7 @@ def test_criterion_08_channel_sanity():
 
 def test_criterion_09_monte_carlo_oracle(tmp_path):
     start = time.perf_counter()
-    cfg = TrajectoryConfig(n_trajectories=10_000, dt=0.02, seed=20260810, t_final=1.0)
+    cfg = TrajectoryConfig(n_trajectories=10_000, seed=20260810, t_final=1.0)
     cmp_local = compare_to_channel(
         GenericPure(0.5, 0.5, 0.5, 0.5), named_scenario("2q-local-A", 1.0), cfg
     )
@@ -267,7 +267,7 @@ def test_criterion_09_monte_carlo_oracle(tmp_path):
         "scenario.channels[0].kind = local\n"
         "scenario.channels[0].qubits = A\n"
         "scenario.channels[0].rate = 1.0\n"
-        "mc.trajectories = 10000\nmc.dt = 0.02\nmc.seed = 20260810\nmc.t = 1.0\n"
+        "mc.trajectories = 10000\nmc.seed = 20260810\nmc.t = 1.0\n"
     )
     assert main(["verify", "--config", str(conf), "--out", str(tmp_path / "v1")]) == 0
     assert main(["verify", "--config", str(conf), "--out", str(tmp_path / "v2")]) == 0
@@ -292,7 +292,7 @@ def test_criterion_10_convergence_scaling():
     for n in (100, 1000, 10_000):
         distances = [
             compare_to_channel(
-                spec, scenario, TrajectoryConfig(n, 0.05, seed, 1.0)
+                spec, scenario, TrajectoryConfig(n, seed, 1.0)
             ).distance
             for seed in (11, 22, 33, 44, 55)
         ]

@@ -39,7 +39,6 @@ outputs = elements, concurrence, eof, timescales, audit
 format = csv
 
 mc.trajectories = 1500
-mc.dt = 0.05
 mc.seed = 31
 mc.t = 1.0
 """
@@ -213,8 +212,8 @@ def test_run_validation_failure_writes_nothing(tmp_path):
         ("run", "rate = 1.0", "rate = nan", "scenario.channels[0].rate"),
         ("run", "rate = 1.0", "rate = inf", "scenario.channels[0].rate"),
         ("run", "grid.t_max = 3.0", "grid.t_max = nan", "grid.t_max"),
-        ("sweep", "mc.dt = 0.05", "sweep.rate = nan", "sweep.rate"),
-        ("verify", "mc.dt = 0.05", "mc.dt = nan", "mc.dt"),
+        ("sweep", "mc.t = 1.0", "sweep.rate = nan", "sweep.rate"),
+        ("verify", "mc.t = 1.0", "mc.t = nan", "mc.t"),
     ],
 )
 def test_non_finite_numbers_are_validation_errors(tmp_path, capsys, command, old, new, key):
@@ -245,16 +244,22 @@ def test_unnormalised_coefficients_are_validation_errors(tmp_path, capsys, comma
     "key, value",
     [
         ("mc.trajectories", "0"),
-        ("mc.dt", "-0.1"),
-        ("mc.dt", "2.0"),  # beyond mc.t
         ("mc.t", "0"),
         ("grid.samples", "4"),
         ("grid.t_max", "-1"),
         ("mc.seed", "-1"),
         ("sweep.seed", "-1"),
         ("mc.trajectories", "10000001"),
-        ("mc.dt", "1e-9"),  # 10^9 phase-walk steps to mc.t
         ("grid.samples", "100001"),
+        # rates and horizons outside SCALE_RANGE
+        ("scenario.channels[0].rate", "1e-101"),
+        ("scenario.channels[0].rate", "1e101"),
+        ("sweep.rate", "1e-101"),
+        ("sweep.rate", "1e101"),
+        ("grid.t_max", "1e-101"),
+        ("grid.t_max", "1e101"),
+        ("mc.t", "1e-101"),
+        ("mc.t", "1e101"),
     ],
 )
 def test_validation_errors_name_their_own_key(key, value):
@@ -268,6 +273,41 @@ def test_validation_errors_name_their_own_key(key, value):
         else:
             grid_from(raw, scenario_from(raw))
     assert info.value.field == key
+
+
+@pytest.mark.parametrize(
+    "command, edits, key",
+    [
+        # each of these ended in a traceback or a nan verdict before rates and horizons were bounded
+        ("run", {"scenario.channels[0].rate": "1e-308"}, "scenario.channels[0].rate"),
+        ("run", {"scenario.channels[0].rate": "1e308"}, "scenario.channels[0].rate"),
+        ("sweep", {"sweep.rate": "1e-320"}, "sweep.rate"),
+        ("sweep", {"sweep.rate": "1e308"}, "sweep.rate"),
+        (
+            "verify",
+            {"scenario.channels[0].rate": "1e300", "mc.t": "1e10"},
+            "scenario.channels[0].rate",
+        ),
+        # the phase is drawn in one step, so there is no step size to set
+        ("verify", {"mc.dt": "0.02"}, "mc.dt: unknown configuration key"),
+    ],
+    ids=[
+        "run-rate-1e-308",
+        "run-rate-1e308",
+        "sweep-rate-1e-320",
+        "sweep-rate-1e308",
+        "verify-rate-1e300-t-1e10",
+        "verify-mc.dt",
+    ],
+)
+def test_out_of_range_configs_name_their_key(tmp_path, capsys, command, edits, key):
+    raw = {**parse_config_text(FRAGILE_CONF), **edits}
+    conf = tmp_path / "c.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 3
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_writes_through_unique_temp_files(fragile_conf, tmp_path):
@@ -340,6 +380,21 @@ def test_verify_pass_and_byte_identical(fragile_conf, tmp_path):
     b1 = (out1 / "verify.json").read_bytes()
     assert b1 == (out2 / "verify.json").read_bytes()
     payload = json.loads(b1)
+    assert list(payload) == [
+        "state_class",
+        "scenario",
+        "n_trajectories",
+        "seed",
+        "t_final",
+        "distance",
+        "distance_bound",
+        "max_z",
+        "z_limit",
+        "informational",
+        "passed",
+        "elements",
+        "divergence",
+    ]
     assert payload["passed"] is True
     assert payload["distance"] <= payload["distance_bound"]
     assert payload["max_z"] <= payload["z_limit"]
@@ -367,7 +422,6 @@ def test_verify_triple_collective_exit_codes(tmp_path):
         "scenario.channels[0].kind = triple_collective\n"
         "scenario.channels[0].rate = 1.0\n"
         "mc.trajectories = 300\n"
-        "mc.dt = 0.1\n"
         "mc.seed = 3\n"
     )
     out = tmp_path / "out"

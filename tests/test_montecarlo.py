@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dephasim.channels import Local, PairCollective, evolve, gamma
+from dephasim.channels import Local, PairCollective, gamma
 from dephasim.errors import EquivalenceNotEstablishedError
-from dephasim.linalg import frobenius_distance
 from dephasim.montecarlo import (
     BLOCK,
     TrajectoryConfig,
@@ -20,33 +19,27 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrajectoryConfig(0, 0.1, 1, 1.0)
+        TrajectoryConfig(0, 1, 1.0)
     with pytest.raises(ValueError):
-        TrajectoryConfig(10, -0.1, 1, 1.0)
-    with pytest.raises(ValueError):
-        TrajectoryConfig(10, 2.0, 1, 1.0)  # dt beyond the horizon
-    with pytest.raises(ValueError):
-        TrajectoryConfig(10, 0.1, 1, 0.0)
+        TrajectoryConfig(10, 1, 0.0)
 
 
 def test_config_size_bounds():
-    TrajectoryConfig(10_000_000, 1e-5, 1, 1.0)  # the largest run accepted
+    TrajectoryConfig(10_000_000, 1, 1.0)  # the largest run accepted
     with pytest.raises(ValueError, match=r"^n_trajectories must be in \[1, 10000000\]"):
-        TrajectoryConfig(10_000_001, 0.1, 1, 1.0)
-    with pytest.raises(ValueError, match="^dt must be at least t_final / 100000"):
-        TrajectoryConfig(10, 1e-9, 1, 1.0)
+        TrajectoryConfig(10_000_001, 1, 1.0)
 
 
 @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
 def test_negative_or_non_finite_rate_is_rejected(rate):
-    cfg = TrajectoryConfig(10, 0.1, 1, 1.0)
+    cfg = TrajectoryConfig(10, 1, 1.0)
     with pytest.raises(ValueError, match="rate must be finite and nonnegative"):
         simulate_statistics(PLUS, ((Local("A"), rate),), cfg)
 
 
 def test_zero_fields_returns_input_exactly():
     rho = projector(GenericPure(0.5, 0.5, 0.5, 0.5))
-    cfg = TrajectoryConfig(50, 0.1, 123, 1.0)
+    cfg = TrajectoryConfig(50, 123, 1.0)
     stats = simulate_statistics(rho, (), cfg)
     assert np.array_equal(stats.mean, rho.matrix)
     assert not stats.var_re.any() and not stats.var_im.any()
@@ -54,7 +47,7 @@ def test_zero_fields_returns_input_exactly():
 
 def test_single_qubit_coherence_decays_to_gamma():
     # |+><+| under a single local field: coherence shrinks by e^(-rate t / 2)
-    cfg = TrajectoryConfig(20_000, 0.05, 7, 1.0)
+    cfg = TrajectoryConfig(20_000, 7, 1.0)
     stats = simulate_statistics(PLUS, ((Local("A"), 1.0),), cfg)
     expected = 0.5 * gamma(1.0, 1.0)  # 0.5 * e^(-1/2)
     se = math.sqrt(stats.var_re[0, 1] / stats.n_trajectories)
@@ -66,7 +59,7 @@ def test_diagonal_is_preserved_exactly():
     rng = np.random.default_rng(3)
     spec = draw_state("generic", rng)
     rho = projector(spec)
-    cfg = TrajectoryConfig(200, 0.05, 5, 0.7)
+    cfg = TrajectoryConfig(200, 5, 0.7)
     stats = simulate_statistics(rho, named_scenario("2q-collective", 1.0).channels, cfg)
     assert np.array_equal(np.diag(stats.mean), np.diag(rho.matrix))
 
@@ -74,12 +67,12 @@ def test_diagonal_is_preserved_exactly():
 def test_same_seed_is_bit_identical():
     spec = Fragile(0.6, 0.5, math.sqrt(1 - 0.61))
     fields = named_scenario("2q-collective", 1.0).channels
-    cfg = TrajectoryConfig(500, 0.02, 42, 1.0)
+    cfg = TrajectoryConfig(500, 42, 1.0)
     a = simulate_statistics(projector(spec).matrix, fields, cfg)
     b = simulate_statistics(projector(spec).matrix, fields, cfg)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.var_re, b.var_re)
-    c = simulate_statistics(projector(spec).matrix, fields, TrajectoryConfig(500, 0.02, 43, 1.0))
+    c = simulate_statistics(projector(spec).matrix, fields, TrajectoryConfig(500, 43, 1.0))
     assert not np.array_equal(a.mean, c.mean)
 
 
@@ -87,32 +80,21 @@ def test_same_seed_is_bit_identical_across_blocks():
     # one trajectory past a block: the last block holds a single trajectory
     rho0 = projector(Fragile(0.6, 0.5, math.sqrt(1 - 0.61))).matrix
     fields = named_scenario("2q-collective", 1.0).channels
-    cfg = TrajectoryConfig(BLOCK + 1, 0.1, 42, 1.0)
+    cfg = TrajectoryConfig(BLOCK + 1, 42, 1.0)
     a = simulate_statistics(rho0, fields, cfg)
     b = simulate_statistics(rho0, fields, cfg)
     assert a.n_trajectories == BLOCK + 1
     for got, again in ((a.mean, b.mean), (a.var_re, b.var_re), (a.var_im, b.var_im)):
         assert np.array_equal(got, again)
-    shorter = simulate_statistics(rho0, fields, TrajectoryConfig(BLOCK, 0.1, 42, 1.0))
+    shorter = simulate_statistics(rho0, fields, TrajectoryConfig(BLOCK, 42, 1.0))
     assert not np.array_equal(a.mean, shorter.mean)
-
-
-def test_dt_independence_in_distribution():
-    # the walk is exact in distribution, so halving dt only reshuffles noise
-    spec = GenericPure(0.5, 0.5, 0.5, 0.5)
-    scenario = named_scenario("2q-local-A", 1.0)
-    exact = evolve(projector(spec).matrix, scenario, 1.0)
-    for dt in (0.25, 0.125):
-        cfg = TrajectoryConfig(4000, dt, 11, 1.0)
-        stats = simulate_statistics(projector(spec).matrix, scenario.channels, cfg)
-        assert frobenius_distance(stats.mean, exact) < 5 / math.sqrt(cfg.n_trajectories)
 
 
 def test_fragment_pattern_under_pair_collective():
     spec = Fragile(0.6, 0.5, math.sqrt(1 - 0.61))
     rho0 = projector(spec).matrix
     fields = named_scenario("2q-collective", 1.0).channels
-    cfg = TrajectoryConfig(20_000, 0.05, 9, 1.0)
+    cfg = TrajectoryConfig(20_000, 9, 1.0)
     stats = simulate_statistics(rho0, fields, cfg)
     g = gamma(1.0, 1.0)
     for (i, j), power in (((0, 3), 4), ((0, 1), 1), ((1, 3), 1)):
@@ -124,13 +106,13 @@ def test_fragment_pattern_under_pair_collective():
 
 
 def test_support_outside_register_is_rejected():
-    cfg = TrajectoryConfig(10, 0.1, 1, 1.0)
+    cfg = TrajectoryConfig(10, 1, 1.0)
     with pytest.raises(ValueError, match="support"):
         simulate_statistics(PLUS, ((PairCollective("A", "B"), 1.0),), cfg)
 
 
 def test_compare_local_channel_passes():
-    cfg = TrajectoryConfig(10_000, 0.02, 20260810, 1.0)
+    cfg = TrajectoryConfig(10_000, 20260810, 1.0)
     cmp_ = compare_to_channel(
         GenericPure(0.5, 0.5, 0.5, 0.5), named_scenario("2q-local-A", 1.0), cfg
     )
@@ -140,7 +122,7 @@ def test_compare_local_channel_passes():
 
 
 def test_compare_refuses_triple_collective_by_default():
-    cfg = TrajectoryConfig(100, 0.05, 1, 1.0)
+    cfg = TrajectoryConfig(100, 1, 1.0)
     with pytest.raises(EquivalenceNotEstablishedError):
         compare_to_channel(
             GHZState(2**-0.5, 2**-0.5), named_scenario("3q-collective", 1.0), cfg
@@ -148,7 +130,7 @@ def test_compare_refuses_triple_collective_by_default():
 
 
 def test_compare_triple_collective_forced_reports_divergence():
-    cfg = TrajectoryConfig(2000, 0.05, 4, 1.0)
+    cfg = TrajectoryConfig(2000, 4, 1.0)
     cmp_ = compare_to_channel(
         GHZState(2**-0.5, 2**-0.5),
         named_scenario("3q-collective", 1.0),
@@ -173,7 +155,7 @@ def test_convergence_scales_as_inverse_sqrt_n():
     for n in (100, 1000):
         distances = []
         for seed in (101, 202, 303):
-            cfg = TrajectoryConfig(n, 0.05, seed, 1.0)
+            cfg = TrajectoryConfig(n, seed, 1.0)
             distances.append(compare_to_channel(spec, scenario, cfg).distance)
         scaled.append(np.mean(distances) * math.sqrt(n))
     assert max(scaled) / min(scaled) < 3.0

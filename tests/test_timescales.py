@@ -157,7 +157,6 @@ def test_paper_tau_table_w_class():
     # additive transcription differs from the factor-implied e-folding
     assert mixed["3-dec"].printed == 2.0 / 1.0 + 2.0 / 2.0
     assert abs(mixed["3-dec"].fitted_equiv - 2.0 / 3.0) < 1e-15
-    assert not mixed["3-dec"].matches_fit
 
 
 def test_paper_tau_table_ghz():
