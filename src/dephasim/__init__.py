@@ -41,7 +41,6 @@ from .linalg import (
 )
 from .montecarlo import (
     ChannelComparison,
-    MonteCarloStats,
     TrajectoryConfig,
     compare_to_channel,
     simulate_statistics,

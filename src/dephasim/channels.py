@@ -24,6 +24,11 @@ from .linalg import QUBITS, subspace_index
 #: apply_kraus refuses sets whose completeness deviation exceeds this.
 COMPLETENESS_LIMIT = 1e-9
 
+#: accepted range of every nonzero rate and every horizon; the products the
+#: code forms of them (rate * t, their square roots and their ratios) then
+#: stay finite
+SCALE_RANGE = (1e-100, 1e100)
+
 
 def gamma(rate: float, t: float) -> float:
     """Coherence decay factor exp(-rate * t / 2); equals 1 when noise is off."""
@@ -130,9 +135,10 @@ class NoiseScenario:
         object.__setattr__(self, "channels", tuple((k, float(r)) for k, r in self.channels))
         register = set(self.register)
         seen: list[str] = []
+        low, high = SCALE_RANGE
         for kind, rate in self.channels:
-            if not 0 <= rate < math.inf:
-                raise ValueError(f"channel rate must be finite and nonnegative, got {rate}")
+            if rate != 0 and not low <= rate <= high:
+                raise ValueError(f"channel rate must be 0 or in [{low:g}, {high:g}], got {rate!r}")
             outside = set(kind.support) - register
             if outside:
                 raise ValueError(

@@ -41,7 +41,7 @@ from .channels import NoiseScenario, evolve
 from .entanglement import concurrence_curve, entanglement_of_formation
 from .errors import EquivalenceNotEstablishedError
 from .linalg import element_key, frobenius_distance
-from .montecarlo import DISTANCE_FACTOR, Z_LIMIT, ChannelComparison, compare_to_channel
+from .montecarlo import ALPHA, ChannelComparison, compare_to_channel
 from .presets import PAPER_MATRIX, draw_state, named_scenario
 from .states import (
     STATE_TYPES,
@@ -313,9 +313,10 @@ def _comparison_payload(cmp_: ChannelComparison) -> dict:
         "seed": cmp_.seed,
         "t_final": cmp_.t_final,
         "distance": cmp_.distance,
-        "distance_bound": DISTANCE_FACTOR * cmp_.expected_scale,
+        "expected_distance": cmp_.expected_distance,
         "max_z": cmp_.max_z,
-        "z_limit": Z_LIMIT,
+        "z_limit": cmp_.z_limit,
+        "alpha": ALPHA,
         "informational": cmp_.informational,
         "passed": cmp_.passed,
         "elements": elements,
@@ -333,7 +334,7 @@ def cmd_verify(args, raw, opts) -> int:
     status = "INFORMATIONAL" if cmp_.informational else ("PASS" if cmp_.passed else "FAIL")
     print(
         f"verify: {status} distance={cmp_.distance:.6g} "
-        f"bound={DISTANCE_FACTOR * cmp_.expected_scale:.6g} max_z={cmp_.max_z:.3g}"
+        f"expected={cmp_.expected_distance:.6g} max_z={cmp_.max_z:.3g} z_limit={cmp_.z_limit:.3g}"
     )
     if cmp_.informational:
         for entry in cmp_.divergence:

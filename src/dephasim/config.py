@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .channels import Local, NoiseScenario, PairCollective, TripleCollective
+from .channels import SCALE_RANGE, Local, NoiseScenario, PairCollective, TripleCollective
 from .montecarlo import TrajectoryConfig
 from .presets import SCENARIO_LAYOUTS
 from .states import STATE_TYPES, StateSpec, projector, slots
@@ -53,10 +53,6 @@ _KEY_RE = re.compile("^(" + "|".join(_KEY_PATTERNS) + ")$")
 
 OUTPUT_GROUPS = ("elements", "concurrence", "eof", "reduced", "timescales", "audit")
 DEFAULT_OUTPUTS = ("elements", "concurrence", "eof", "timescales", "audit")
-
-#: accepted range of every rate and horizon; the products the code forms of
-#: them (rate * t, their square roots and their ratios) then stay finite
-SCALE_RANGE = (1e-100, 1e100)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -109,8 +105,8 @@ def _as_float(raw: dict[str, str], key: str, default: Optional[float] = None) ->
     return value
 
 
-def _as_scale(raw: dict[str, str], key: str, default: Optional[float] = None) -> float:
-    """A rate or horizon within SCALE_RANGE."""
+def _as_rate(raw: dict[str, str], key: str, default: Optional[float] = None) -> float:
+    """A rate within SCALE_RANGE, checked here so that the error names its own key."""
     value = _as_float(raw, key, default)
     low, high = SCALE_RANGE
     if not low <= value <= high:
@@ -200,7 +196,7 @@ def scenario_from(raw: dict[str, str]) -> NoiseScenario:
         qubits = tuple(
             q.strip().upper() for q in raw.get(f"{prefix}.qubits", "").split(",") if q.strip()
         )
-        rate = _as_scale(raw, f"{prefix}.rate")
+        rate = _as_rate(raw, f"{prefix}.rate")
         try:
             if kind_name == "local":
                 if len(qubits) != 1:
@@ -239,14 +235,11 @@ def scenario_from(raw: dict[str, str]) -> NoiseScenario:
 
 def grid_from(raw: dict[str, str], scenario: NoiseScenario) -> TimeGrid:
     samples = _as_int(raw, "grid.samples", DEFAULT_SAMPLES)
-    if "grid.t_max" in raw:
-        t_max = _as_scale(raw, "grid.t_max")
-    else:
-        t_max = default_grid(scenario).t_max
+    t_max = _as_float(raw, "grid.t_max") if "grid.t_max" in raw else default_grid(scenario).t_max
     try:
         return TimeGrid(t_max, samples)
     except ValueError as exc:
-        raise ConfigValidationError("grid.samples", str(exc)) from None
+        raise _field_error(exc, {"t_max": "grid.t_max", "n_samples": "grid.samples"}) from None
 
 
 def mc_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Optional[TrajectoryConfig]:
@@ -254,11 +247,12 @@ def mc_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Optiona
         return None
     n = _as_int(raw, "mc.trajectories", 10_000)
     seed = seed_override if seed_override is not None else _as_int(raw, "mc.seed")
-    t_final = _as_scale(raw, "mc.t", 1.0)
+    t_final = _as_float(raw, "mc.t", 1.0)
     try:
         return TrajectoryConfig(n_trajectories=n, seed=seed, t_final=t_final)
     except ValueError as exc:
-        raise _field_error(exc, {"n_trajectories": "mc.trajectories", "seed": "mc.seed"}) from None
+        keys = {"n_trajectories": "mc.trajectories", "seed": "mc.seed", "t_final": "mc.t"}
+        raise _field_error(exc, keys) from None
 
 
 @dataclass(frozen=True)
@@ -285,7 +279,7 @@ def sweep_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Swee
     for name in scenarios:
         if name not in SCENARIO_LAYOUTS:
             raise ConfigValidationError("sweep.scenarios", f"unknown scenario {name!r}")
-    rate = _as_scale(raw, "sweep.rate", 1.0)
+    rate = _as_rate(raw, "sweep.rate", 1.0)
     return SweepConfig(draws, seed, classes, scenarios, rate)
 
 

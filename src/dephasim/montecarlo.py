@@ -5,26 +5,35 @@ as N(0, rate * t) by time t, so each trajectory draws that phase once per
 field and rotates the initial state by the resulting diagonal unitary.
 Trajectories are drawn in blocks of BLOCK from one generator seeded by the
 run's seed, each block one broadcast; averaging reproduces the local and
-pair-collective channels.  The triple-collective operators are a documented
-exception and are only compared on request.
+pair-collective channels.  The comparison estimates nothing but the mean:
+under the channel the variance of each component follows from the exponent
+matrix E, and a Bonferroni threshold gives the verdict the family-wise
+false-alarm rate ALPHA.  Scenarios whose phase-diffusion exponents differ
+from E (the triple-collective operators) are only compared on request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
-from .channels import ChannelKind, Local, NoiseScenario, PairCollective, decay_exponents, evolve
+from .channels import SCALE_RANGE, ChannelKind, NoiseScenario, decay_exponents, evolve
 from .errors import EquivalenceNotEstablishedError
 from .linalg import QUBITS, element_key, frobenius_distance, subspace_index
 from .states import StateSpec, projector
 
-#: acceptance thresholds of compare_to_channel
-DISTANCE_FACTOR = 5.0
-Z_LIMIT = 4.0
+#: family-wise false-alarm rate of compare_to_channel's verdict
+ALPHA = 1e-3
+
+#: a component whose standard error is at most SE_FLOOR is not live: a mean
+#: of n terms carries roundoff of that order, so its z-score would measure
+#: roundoff; it is flagged only when it moves by more than ROUNDOFF
+SE_FLOOR = 1e-14
+ROUNDOFF = 1e-12
 
 #: largest accepted run
 MAX_TRAJECTORIES = 10_000_000
@@ -48,8 +57,9 @@ class TrajectoryConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not 0 < self.t_final < math.inf:
-            raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
+        low, high = SCALE_RANGE
+        if not low <= self.t_final <= high:
+            raise ValueError(f"t_final must be in [{low:g}, {high:g}], got {self.t_final!r}")
 
 
 def _half_sz_sum(kind: ChannelKind, register: tuple[str, ...]) -> np.ndarray:
@@ -60,19 +70,9 @@ def _half_sz_sum(kind: ChannelKind, register: tuple[str, ...]) -> np.ndarray:
     return 0.5 * sum(1.0 - 2.0 * subspace_index((q,), register) for q in kind.support)
 
 
-@dataclass(frozen=True)
-class MonteCarloStats:
-    """Trajectory mean with elementwise variances of its real and imaginary parts."""
-
-    mean: np.ndarray
-    var_re: np.ndarray
-    var_im: np.ndarray
-    n_trajectories: int
-
-
 def simulate_statistics(
     rho0, fields: Sequence[tuple[ChannelKind, float]], cfg: TrajectoryConfig
-) -> MonteCarloStats:
+) -> np.ndarray:
     """Average of U rho0 U^dagger over the trajectory ensemble.
 
     `fields` are (ChannelKind, rate) pairs, as in `NoiseScenario.channels`.
@@ -95,33 +95,26 @@ def simulate_statistics(
 
     rng = np.random.default_rng(cfg.seed)
     acc = np.zeros((dim, dim), dtype=complex)
-    acc_re2 = np.zeros((dim, dim))
-    acc_im2 = np.zeros((dim, dim))
     for start in range(0, cfg.n_trajectories, BLOCK):
         phases = rng.standard_normal((min(BLOCK, cfg.n_trajectories - start), len(stds))) * stds
         theta = phases @ charges
-        contrib = mat * np.exp(1j * (theta[:, :, None] - theta[:, None, :]))
-        acc += contrib.sum(axis=0)
-        acc_re2 += (contrib.real**2).sum(axis=0)
-        acc_im2 += (contrib.imag**2).sum(axis=0)
+        # in place: one block-sized temporary fewer for the allocator to map per block
+        contrib = np.exp(1j * (theta[:, :, None] - theta[:, None, :]))
+        acc += np.multiply(mat, contrib, out=contrib).sum(axis=0)
 
-    n = cfg.n_trajectories
-    mean = acc / n
+    mean = acc / cfg.n_trajectories
     # every trajectory carries the populations unchanged, so the average does too
     np.fill_diagonal(mean, np.diag(mat))
-    # one trajectory leaves both numerators exactly 0
-    var_re = np.clip((acc_re2 - n * mean.real**2) / max(n - 1, 1), 0.0, None)
-    var_im = np.clip((acc_im2 - n * mean.imag**2) / max(n - 1, 1), 0.0, None)
-    return MonteCarloStats(mean, var_re, var_im, n)
-
-
-#: channel kinds whose operator sums provably equal the stochastic average.
-EQUIVALENT_KINDS = (Local, PairCollective)
+    return mean
 
 
 @dataclass(frozen=True)
 class ChannelComparison:
-    """Monte Carlo average versus operator-sum evolution at one time."""
+    """Monte Carlo average versus operator-sum evolution at one time.
+
+    `expected_distance` is the root-mean-square distance under the channel;
+    `z_limit` is the Bonferroni threshold for ALPHA over the live components.
+    """
 
     state_class: str
     scenario_label: str
@@ -129,9 +122,10 @@ class ChannelComparison:
     seed: int
     t_final: float
     distance: float
-    expected_scale: float
+    expected_distance: float
     z_scores: np.ndarray
     max_z: float
+    z_limit: float
     informational: bool
     mc_mean: np.ndarray
     channel_matrix: np.ndarray
@@ -139,19 +133,7 @@ class ChannelComparison:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.distance <= DISTANCE_FACTOR * self.expected_scale
-            and self.max_z <= Z_LIMIT
-        )
-
-
-def _z_matrix(dev: np.ndarray, var: np.ndarray, n: int) -> np.ndarray:
-    se = np.sqrt(var / n)
-    z = np.zeros_like(dev)
-    live = se > 1e-14
-    z[live] = np.abs(dev[live]) / se[live]
-    z[~live & (np.abs(dev) > 1e-12)] = np.inf
-    return z
+        return self.max_z <= self.z_limit
 
 
 def compare_to_channel(
@@ -162,58 +144,68 @@ def compare_to_channel(
 ) -> ChannelComparison:
     """Distance and per-element z-scores between the two evolution routes.
 
-    Scenarios containing a triple-collective channel are refused unless
-    force_informational is set, in which case the known elementwise
-    divergence between the stochastic average and the channel operators
-    is quantified in the result instead of being treated as a failure.
+    A scenario whose phase-diffusion exponents differ from the channel's
+    exponent matrix is refused unless force_informational is set, in which
+    case the elementwise divergence between the stochastic average and the
+    channel operators is quantified in the result instead of being treated
+    as a failure.
     """
-    informational = any(not isinstance(kind, EQUIVALENT_KINDS) for kind, _ in scenario.channels)
+    t = cfg.t_final
+    exponents = decay_exponents(scenario)
+    register = QUBITS[: scenario.register_size]
+    # phase diffusion decays coherence (i, j) at rate * (h_i - h_j)^2 / 2 per
+    # field, h being half the sigma_z sum on the field support
+    half = [(rate, _half_sz_sum(kind, register)) for kind, rate in scenario.channels]
+    stochastic_exponents = sum(rate * np.subtract.outer(h, h) ** 2 / 2.0 for rate, h in half)
+    differs = ~np.isclose(stochastic_exponents, exponents, rtol=1e-9, atol=0.0)
+    informational = bool(differs.any())
     if informational and not force_informational:
         raise EquivalenceNotEstablishedError(
-            "scenario includes a triple-collective channel, for which the "
-            "stochastic average and the channel operators are known to differ; "
+            "the channel operators and phase diffusion decay some coherences at "
+            "different rates (the triple-collective operator set); "
             "pass force_informational=True to compare anyway"
         )
-    rho0 = projector(spec)
-    stats = simulate_statistics(rho0.matrix, scenario.channels, cfg)
-    exact = evolve(rho0.matrix, scenario, cfg.t_final)
-    dev = stats.mean - exact
-    z = np.maximum(
-        _z_matrix(dev.real, stats.var_re, stats.n_trajectories),
-        _z_matrix(dev.imag, stats.var_im, stats.n_trajectories),
+    rho0 = projector(spec).matrix
+    exact = evolve(rho0, scenario, t)
+    mean = simulate_statistics(rho0, scenario.channels, cfg)
+    diff = mean - exact
+    dev = np.abs(np.stack([diff.real, diff.imag]))
+
+    # one trajectory carries rho_ij e^(i Delta), Delta ~ N(0, 2 t E_ij); with
+    # b = 1 - e^(-2tE) its parts have Var Re = b (|rho|^2 - (1 - b) Re rho^2) / 2
+    # and Var Im = b (|rho|^2 + (1 - b) Re rho^2) / 2, here as nonnegative terms
+    b = -np.expm1(-2.0 * t * exponents)
+    re2, im2 = rho0.real**2, rho0.imag**2
+    var = np.stack([b * (re2 * b + im2 * (2.0 - b)), b * (re2 * (2.0 - b) + im2 * b)]) / 2.0
+    n = cfg.n_trajectories
+    se = np.sqrt(var / n)
+    live = se > SE_FLOOR
+    z = np.where(live, dev / np.where(live, se, 1.0), np.where(dev > ROUNDOFF, np.inf, 0.0))
+    upper = np.triu(np.ones(exponents.shape, dtype=bool), 1)
+
+    stochastic, channel = np.exp(-t * stochastic_exponents), np.exp(-t * exponents)
+    divergence = tuple(
+        {
+            "element": element_key(i, j),
+            "stochastic_factor": float(stochastic[i, j]),
+            "channel_factor": float(channel[i, j]),
+        }
+        for i, j in zip(*np.nonzero(np.triu(differs & (np.abs(rho0) > 1e-15), 1)))
     )
-
-    divergence: list[dict] = []
-    if informational:
-        register = QUBITS[: scenario.register_size]
-        # phase diffusion decays coherence (i, j) at rate * (h_i - h_j)^2 / 2
-        # per field, h being half the sigma_z sum on the field support
-        half = [(rate, _half_sz_sum(kind, register)) for kind, rate in scenario.channels]
-        stochastic_exponents = sum(rate * np.subtract.outer(h, h) ** 2 / 2.0 for rate, h in half)
-        stochastic = np.exp(-cfg.t_final * stochastic_exponents)
-        channel = np.exp(-cfg.t_final * decay_exponents(scenario))
-        differs = (np.abs(rho0.matrix) > 1e-15) & (np.abs(stochastic - channel) > 1e-12)
-        for i, j in zip(*np.nonzero(np.triu(differs, 1))):
-            divergence.append(
-                {
-                    "element": element_key(i, j),
-                    "stochastic_factor": float(stochastic[i, j]),
-                    "channel_factor": float(channel[i, j]),
-                }
-            )
-
     return ChannelComparison(
         state_class=spec.name,
         scenario_label=scenario.label,
-        n_trajectories=cfg.n_trajectories,
+        n_trajectories=n,
         seed=cfg.seed,
-        t_final=cfg.t_final,
-        distance=frobenius_distance(stats.mean, exact),
-        expected_scale=1.0 / math.sqrt(cfg.n_trajectories),
-        z_scores=z,
-        max_z=float(np.max(z)) if z.size else 0.0,
+        t_final=t,
+        distance=frobenius_distance(mean, exact),
+        # the mean squared distance counts each upper component twice
+        expected_distance=math.sqrt(2.0 * float(var[:, upper].sum()) / n),
+        z_scores=z.max(axis=0),
+        max_z=float(z.max()),
+        z_limit=NormalDist().inv_cdf(1.0 - ALPHA / (2 * max(np.count_nonzero(live & upper), 1))),
         informational=informational,
-        mc_mean=stats.mean,
+        mc_mean=mean,
         channel_matrix=exact,
-        divergence=tuple(divergence),
+        divergence=divergence,
     )

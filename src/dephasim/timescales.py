@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channels import NoiseScenario, decay_exponents, evolve
+from .channels import SCALE_RANGE, NoiseScenario, decay_exponents, evolve
 from .entanglement import concurrence_curve
 from .errors import UnsupportedScenarioError
 from .linalg import QUBITS, element_key, partial_trace
@@ -53,8 +53,9 @@ class TimeGrid:
     n_samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self):
-        if not 0 < self.t_max < math.inf:
-            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
+        low, high = SCALE_RANGE
+        if not low <= self.t_max <= high:
+            raise ValueError(f"t_max must be in [{low:g}, {high:g}], got {self.t_max!r}")
         if self.n_samples < 8:
             raise ValueError(f"n_samples must be at least 8, got {self.n_samples}")
         if self.n_samples > MAX_SAMPLES:
@@ -66,9 +67,9 @@ class TimeGrid:
 
 
 def default_grid(scenario: NoiseScenario) -> TimeGrid:
-    """DEFAULT_SAMPLES uniform samples on [0, 3 / min active rate]."""
+    """DEFAULT_SAMPLES uniform samples on [0, 3 / min active rate], within SCALE_RANGE."""
     rate = scenario.min_rate
-    return TimeGrid(3.0 / rate if rate > 0 else 3.0, DEFAULT_SAMPLES)
+    return TimeGrid(min(3.0 / rate, SCALE_RANGE[1]) if rate > 0 else 3.0, DEFAULT_SAMPLES)
 
 
 @dataclass(frozen=True)

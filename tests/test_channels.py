@@ -407,6 +407,17 @@ def test_scenario_rejects_support_outside_register():
         NoiseScenario(2, ((Local("C"), 1.0),))
 
 
+@pytest.mark.parametrize("rate", [-1.0, 1e-101, 1e101, 1e308, math.nan, math.inf])
+def test_scenario_rejects_rates_outside_the_scale_range(rate):
+    with pytest.raises(ValueError, match=r"^channel rate must be 0 or in \[1e-100, 1e\+100\]"):
+        NoiseScenario(2, ((Local("A"), rate),))
+
+
+def test_scenario_accepts_idle_channels_and_the_range_ends():
+    for rate in (0.0, 1e-100, 1e100):
+        assert NoiseScenario(2, ((Local("A"), rate),)).channels[0][1] == rate
+
+
 def test_pair_channel_canonicalizes_order():
     assert PairCollective("C", "A") == PairCollective("A", "C")
     with pytest.raises(ValueError):

@@ -387,16 +387,18 @@ def test_verify_pass_and_byte_identical(fragile_conf, tmp_path):
         "seed",
         "t_final",
         "distance",
-        "distance_bound",
+        "expected_distance",
         "max_z",
         "z_limit",
+        "alpha",
         "informational",
         "passed",
         "elements",
         "divergence",
     ]
     assert payload["passed"] is True
-    assert payload["distance"] <= payload["distance_bound"]
+    assert payload["alpha"] == 1e-3
+    assert payload["distance"] <= 5 * payload["expected_distance"]
     assert payload["max_z"] <= payload["z_limit"]
     elements = {e["element"]: e for e in payload["elements"]}
     assert abs(elements["rho_14"]["channel_re"] - 0.5 * math.exp(-2.0)) < 1e-12
@@ -431,6 +433,26 @@ def test_verify_triple_collective_exit_codes(tmp_path):
     payload = json.loads((out / "verify.json").read_text())
     assert payload["informational"] is True
     assert payload["divergence"][0]["element"] == "rho_18"
+
+
+def test_verify_passes_a_correct_channel_at_a_tiny_rate(tmp_path, capsys):
+    # a sample-variance verdict read max_z = inf here: the decay 1e-8 * t leaves
+    # too little spread in the trajectories to estimate one
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(
+        "state.class = generic\n"
+        "state.a = 0.5\nstate.b = 0, 0.5\nstate.c = 0.5\nstate.d = 0.5\n"
+        "scenario.register = 2\n"
+        "scenario.channels[0].kind = local\n"
+        "scenario.channels[0].qubits = A\n"
+        "scenario.channels[0].rate = 1e-8\n"
+        "mc.t = 1\nmc.trajectories = 10000\nmc.seed = 1\n"
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(conf), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("verify: PASS distance=7.71659e-07 ")
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["passed"] is True and math.isfinite(payload["max_z"])
 
 
 def test_verify_requires_mc_section(tmp_path):

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from dephasim.channels import Local, PairCollective, gamma
+from dephasim import montecarlo
+from dephasim.channels import (
+    Local,
+    NoiseScenario,
+    PairCollective,
+    TripleCollective,
+    decay_exponents,
+    gamma,
+)
 from dephasim.errors import EquivalenceNotEstablishedError
 from dephasim.montecarlo import (
+    ALPHA,
     BLOCK,
     TrajectoryConfig,
     compare_to_channel,
@@ -15,6 +24,23 @@ from dephasim.presets import draw_state, named_scenario
 from dephasim.states import Fragile, GenericPure, GHZState, projector
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
+
+
+def exact_se(rho_ij: complex, s2: float, n: int) -> tuple[float, float]:
+    """Standard errors of Re and Im of an n-trajectory mean of rho_ij e^(i Delta), Delta ~ N(0, s2)."""
+    mod2, phi = abs(rho_ij) ** 2, np.angle(rho_ij)
+    var_re = mod2 * ((1 + math.exp(-2 * s2) * math.cos(2 * phi)) / 2 - math.exp(-s2) * math.cos(phi) ** 2)
+    var_im = mod2 * ((1 - math.exp(-2 * s2) * math.cos(2 * phi)) / 2 - math.exp(-s2) * math.sin(phi) ** 2)
+    return math.sqrt(var_re / n), math.sqrt(var_im / n)
+
+
+def binomial_bound(trials: int, p: float, tail: float = 1e-3) -> int:
+    """Smallest b with P(X > b) <= tail for X ~ Binomial(trials, p)."""
+    cdf, b = 0.0, -1
+    while 1.0 - cdf > tail:
+        b += 1
+        cdf += math.comb(trials, b) * p**b * (1 - p) ** (trials - b)
+    return b
 
 
 def test_config_validation():
@@ -40,19 +66,17 @@ def test_negative_or_non_finite_rate_is_rejected(rate):
 def test_zero_fields_returns_input_exactly():
     rho = projector(GenericPure(0.5, 0.5, 0.5, 0.5))
     cfg = TrajectoryConfig(50, 123, 1.0)
-    stats = simulate_statistics(rho, (), cfg)
-    assert np.array_equal(stats.mean, rho.matrix)
-    assert not stats.var_re.any() and not stats.var_im.any()
+    assert np.array_equal(simulate_statistics(rho, (), cfg), rho.matrix)
 
 
 def test_single_qubit_coherence_decays_to_gamma():
     # |+><+| under a single local field: coherence shrinks by e^(-rate t / 2)
     cfg = TrajectoryConfig(20_000, 7, 1.0)
-    stats = simulate_statistics(PLUS, ((Local("A"), 1.0),), cfg)
+    mean = simulate_statistics(PLUS, ((Local("A"), 1.0),), cfg)
     expected = 0.5 * gamma(1.0, 1.0)  # 0.5 * e^(-1/2)
-    se = math.sqrt(stats.var_re[0, 1] / stats.n_trajectories)
-    assert abs(stats.mean[0, 1].real - expected) < 4 * se
-    assert abs(stats.mean[0, 1].imag) < 4 * math.sqrt(stats.var_im[0, 1] / stats.n_trajectories)
+    se_re, se_im = exact_se(0.5, 1.0, cfg.n_trajectories)  # phase variance rate * t
+    assert abs(mean[0, 1].real - expected) < 4 * se_re
+    assert abs(mean[0, 1].imag) < 4 * se_im
 
 
 def test_diagonal_is_preserved_exactly():
@@ -60,8 +84,8 @@ def test_diagonal_is_preserved_exactly():
     spec = draw_state("generic", rng)
     rho = projector(spec)
     cfg = TrajectoryConfig(200, 5, 0.7)
-    stats = simulate_statistics(rho, named_scenario("2q-collective", 1.0).channels, cfg)
-    assert np.array_equal(np.diag(stats.mean), np.diag(rho.matrix))
+    mean = simulate_statistics(rho, named_scenario("2q-collective", 1.0).channels, cfg)
+    assert np.array_equal(np.diag(mean), np.diag(rho.matrix))
 
 
 def test_same_seed_is_bit_identical():
@@ -70,10 +94,9 @@ def test_same_seed_is_bit_identical():
     cfg = TrajectoryConfig(500, 42, 1.0)
     a = simulate_statistics(projector(spec).matrix, fields, cfg)
     b = simulate_statistics(projector(spec).matrix, fields, cfg)
-    assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(a.var_re, b.var_re)
+    assert np.array_equal(a, b)
     c = simulate_statistics(projector(spec).matrix, fields, TrajectoryConfig(500, 43, 1.0))
-    assert not np.array_equal(a.mean, c.mean)
+    assert not np.array_equal(a, c)
 
 
 def test_same_seed_is_bit_identical_across_blocks():
@@ -83,11 +106,9 @@ def test_same_seed_is_bit_identical_across_blocks():
     cfg = TrajectoryConfig(BLOCK + 1, 42, 1.0)
     a = simulate_statistics(rho0, fields, cfg)
     b = simulate_statistics(rho0, fields, cfg)
-    assert a.n_trajectories == BLOCK + 1
-    for got, again in ((a.mean, b.mean), (a.var_re, b.var_re), (a.var_im, b.var_im)):
-        assert np.array_equal(got, again)
+    assert np.array_equal(a, b)
     shorter = simulate_statistics(rho0, fields, TrajectoryConfig(BLOCK, 42, 1.0))
-    assert not np.array_equal(a.mean, shorter.mean)
+    assert not np.array_equal(a, shorter)
 
 
 def test_fragment_pattern_under_pair_collective():
@@ -95,14 +116,13 @@ def test_fragment_pattern_under_pair_collective():
     rho0 = projector(spec).matrix
     fields = named_scenario("2q-collective", 1.0).channels
     cfg = TrajectoryConfig(20_000, 9, 1.0)
-    stats = simulate_statistics(rho0, fields, cfg)
+    mean = simulate_statistics(rho0, fields, cfg)
     g = gamma(1.0, 1.0)
     for (i, j), power in (((0, 3), 4), ((0, 1), 1), ((1, 3), 1)):
-        se = math.sqrt(
-            (stats.var_re[i, j] + stats.var_im[i, j]) / stats.n_trajectories
-        )
-        assert abs(stats.mean[i, j] - rho0[i, j] * g**power) <= 4 * se, (i, j)
-    assert stats.mean[1, 2] == 0.0  # robust slot of the projector stays empty
+        # g^power = e^(-power t / 2) is the mean of e^(i Delta) with Var Delta = power
+        se = math.hypot(*exact_se(rho0[i, j], power, cfg.n_trajectories))
+        assert abs(mean[i, j] - rho0[i, j] * g**power) <= 4 * se, (i, j)
+    assert mean[1, 2] == 0.0  # robust slot of the projector stays empty
 
 
 def test_support_outside_register_is_rejected():
@@ -116,8 +136,8 @@ def test_compare_local_channel_passes():
     cmp_ = compare_to_channel(
         GenericPure(0.5, 0.5, 0.5, 0.5), named_scenario("2q-local-A", 1.0), cfg
     )
-    assert cmp_.distance < 5 * cmp_.expected_scale
-    assert cmp_.max_z <= 4.0
+    assert cmp_.distance < 5 * cmp_.expected_distance
+    assert cmp_.max_z <= cmp_.z_limit < 4.0
     assert cmp_.passed and not cmp_.informational
 
 
@@ -159,3 +179,107 @@ def test_convergence_scales_as_inverse_sqrt_n():
             distances.append(compare_to_channel(spec, scenario, cfg).distance)
         scaled.append(np.mean(distances) * math.sqrt(n))
     assert max(scaled) / min(scaled) < 3.0
+
+
+def w_case(seed: int, n: int):
+    """A seeded W state under local(A) + pair(BC) at unit rate, and its run at t = 1."""
+    spec = draw_state("w", np.random.default_rng(seed))
+    return spec, named_scenario("3q-local-A-pair-BC", 1.0), TrajectoryConfig(n, seed, 1.0)
+
+
+def test_z_scores_use_the_exact_null_variance():
+    spec, scenario, cfg = w_case(1, 2000)
+    cmp_ = compare_to_channel(spec, scenario, cfg)
+    rho0 = projector(spec).matrix
+    exponents = decay_exponents(scenario)
+    dev = cmp_.mc_mean - cmp_.channel_matrix
+    live, total_var = 0, 0.0
+    for i, j in zip(*np.triu_indices(8, 1)):
+        if exponents[i, j] == 0 or rho0[i, j] == 0:
+            # a coherence that is absent or does not decay does not move either
+            assert cmp_.z_scores[i, j] == 0.0, (i, j)
+            continue
+        se_re, se_im = exact_se(rho0[i, j], 2 * cfg.t_final * exponents[i, j], cfg.n_trajectories)
+        z = max(abs(dev[i, j].real) / se_re, abs(dev[i, j].imag) / se_im)
+        live += 2
+        total_var += se_re**2 + se_im**2
+        assert cmp_.z_scores[i, j] == pytest.approx(z, rel=1e-9), (i, j)
+    # rho_23 sits in pair(BC)'s decoherence-free subspace; rho_25 and rho_35 decay
+    assert live == 4
+    assert cmp_.z_limit == pytest.approx(3.6623, abs=1e-4)  # Phi^-1(1 - ALPHA / (2 * 4))
+    assert cmp_.expected_distance == pytest.approx(math.sqrt(2 * total_var), rel=1e-9)
+
+
+def test_z_limit_is_below_four_for_every_class():
+    # the most live components any class has is 12 (generic: six coherences)
+    for cls in ("fragile", "fragile2", "robust", "robust2", "generic", "w", "ghz"):
+        spec = draw_state(cls, np.random.default_rng(0))
+        size = len(spec.register)
+        scenario = named_scenario("2q-multi-local" if size == 2 else "3q-multi-local", 1.0)
+        cmp_ = compare_to_channel(spec, scenario, TrajectoryConfig(10, 1, 1.0))
+        assert cmp_.z_limit <= 3.9347, cls
+
+
+def test_informational_is_read_from_the_exponents():
+    # a triple-collective field at rate 0 changes neither route, so the scenario is compared
+    cfg = TrajectoryConfig(100, 1, 1.0)
+    ghz = GHZState(2**-0.5, 2**-0.5)
+    idle = NoiseScenario(3, ((TripleCollective(), 0.0), (Local("A"), 1.0)), allow_overlap=True)
+    assert not compare_to_channel(ghz, idle, cfg).informational
+    overlapping = NoiseScenario(2, ((Local("A"), 1.0), (PairCollective("A", "B"), 0.5)), allow_overlap=True)
+    assert compare_to_channel(GenericPure(0.5, 0.5, 0.5, 0.5), overlapping, cfg).passed
+
+
+def _at_scaled_rates(monkeypatch, factor: float) -> None:
+    """Run every Monte Carlo ensemble at `factor` times the scenario's rates."""
+    real = montecarlo.simulate_statistics
+    monkeypatch.setattr(
+        montecarlo,
+        "simulate_statistics",
+        lambda rho0, fields, cfg: real(rho0, [(kind, rate * factor) for kind, rate in fields], cfg),
+    )
+
+
+@pytest.mark.parametrize("factor", [1.1, 0.9])
+def test_power_against_a_ten_percent_rate_error(monkeypatch, factor):
+    _at_scaled_rates(monkeypatch, factor)
+    cmp_ = compare_to_channel(*w_case(1, 10_000))
+    assert not cmp_.passed
+    assert cmp_.max_z > 5.0
+
+
+def test_power_on_the_criterion_09_config(monkeypatch):
+    _at_scaled_rates(monkeypatch, 1.1)
+    cfg = TrajectoryConfig(10_000, 20260810, 1.0)
+    cmp_ = compare_to_channel(GenericPure(0.5, 0.5, 0.5, 0.5), named_scenario("2q-local-A", 1.0), cfg)
+    assert not cmp_.passed
+
+
+def test_forced_triple_collective_does_not_pass():
+    cmp_ = compare_to_channel(
+        GHZState(2**-0.5, 2**-0.5),
+        named_scenario("3q-collective", 1.0),
+        TrajectoryConfig(2000, 4, 1.0),
+        force_informational=True,
+    )
+    assert cmp_.informational and not cmp_.passed
+
+
+def test_false_alarms_stay_within_the_binomial_bound():
+    seeds = range(1, 401)
+    failures = [seed for seed in seeds if not compare_to_channel(*w_case(seed, 1000)).passed]
+    bound = binomial_bound(len(seeds), ALPHA)
+    assert bound == 3
+    assert len(failures) <= bound, failures
+
+
+def test_library_refuses_rates_and_horizons_outside_the_scale_range():
+    with pytest.raises(ValueError, match="^channel rate must be 0 or in"):
+        compare_to_channel(
+            GenericPure(0.5, 0.5, 0.5, 0.5),
+            named_scenario("2q-local-A", 1e300),
+            TrajectoryConfig(100, 1, 1e10),
+        )
+    for t_final in (1e-101, 1e101, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^t_final must be in \[1e-100, 1e\+100\]"):
+            TrajectoryConfig(100, 1, t_final)

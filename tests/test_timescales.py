@@ -117,6 +117,22 @@ def test_time_grid_size_bounds():
         TimeGrid(1.0, 100_001)
 
 
+@pytest.mark.parametrize("t_max", [0.0, 1e-101, 1e101, math.nan, math.inf])
+def test_time_grid_horizon_is_bounded(t_max):
+    with pytest.raises(ValueError, match=r"^t_max must be in \[1e-100, 1e\+100\]"):
+        TimeGrid(t_max)
+
+
+def test_default_grid_stays_within_the_scale_range():
+    assert default_grid(named_scenario("2q-collective", 1e-100)).t_max == 1e100
+
+
+def test_build_report_refuses_an_out_of_range_rate():
+    # the rate is refused where the scenario is built, before any eigensolve
+    with pytest.raises(ValueError, match="^channel rate must be 0 or in"):
+        build_report(draw_state("fragile", np.random.default_rng(0)), named_scenario("2q-collective", 1e308))
+
+
 def test_fitted_taus_follow_decay_exponents():
     # an element scaled by g1^p g2^q decays at rate (p r1 + q r2) / 2
     rng = np.random.default_rng(2)
