@@ -22,7 +22,7 @@ import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -109,6 +109,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
@@ -138,17 +140,26 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _table(fmt: str, header: Sequence[str], rows: Iterable[dict], payload=None) -> str:
-    """`rows` as CSV in `header` order (a missing key is an empty cell), or `payload` as JSON.
+def _cells(values: Sequence) -> list[str]:
+    """One column's CSV cells; a float array is formatted in one pass, as `_cell` would."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return list(map(repr, values.tolist()))
+    return [_cell(value) for value in values]
 
-    The JSON payload defaults to the rows, one object per row.
-    """
+
+def _columns(header: Sequence[str], rows: Sequence[dict]) -> dict[str, list]:
+    """Dict rows as columns in `header` order; a missing key is an empty cell."""
+    return {key: [row.get(key) for row in rows] for key in header}
+
+
+def _table(fmt: str, columns: dict[str, Sequence], payload) -> str:
+    """`columns` as CSV, one column per key in order, or `payload` as JSON."""
     if fmt == "json":
-        return _dump_json(rows if payload is None else payload)
+        return _dump_json(payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_cell(row.get(key)) for key in header] for row in rows)
+    writer.writerow(columns)
+    writer.writerows(zip(*map(_cells, columns.values())))
     return buf.getvalue()
 
 
@@ -268,23 +279,24 @@ def cmd_run(args, raw, opts) -> int:
     files: dict[str, str] = {}
     overall = None
     if "timescales" in opts.outputs or "audit" in opts.outputs:
-        report = build_report(spec, scenario, grid)
+        # the report brackets its crossings on its own default grid, so no
+        # time depends on grid.*: the output grid sets only what is sampled
+        report = build_report(spec, scenario)
         if "timescales" in opts.outputs:
             rows = _timescale_rows(report, opts.convention)
             payload = {"scenario": report.scenario_label, "fits": rows}
-            files[f"timescales.{fmt}"] = _table(fmt, _TIMESCALE_HEADER, rows, payload)
+            files[f"timescales.{fmt}"] = _table(fmt, _columns(_TIMESCALE_HEADER, rows), payload)
         if "audit" in opts.outputs:
             audit = audit_inequality(report)
             overall = audit.overall
             pairs = [asdict(p) for p in audit.pairs]
             payload = {"scenario": report.scenario_label, "pairs": pairs, "overall": overall}
             rows = pairs + [{"pair": "overall", "verdict": overall}]
-            files[f"audit.{fmt}"] = _table(fmt, _AUDIT_HEADER, rows, payload)
+            files[f"audit.{fmt}"] = _table(fmt, _columns(_AUDIT_HEADER, rows), payload)
     if opts.plots:
         files.update(_plots(columns, opts.log_y))
     # the trajectory is by far the largest text: built last, written first
-    rows = (dict(zip(columns, values)) for values in zip(*columns.values()))
-    files = {f"trajectory.{fmt}": _table(fmt, list(columns), rows, columns), **files}
+    files = {f"trajectory.{fmt}": _table(fmt, columns, columns), **files}
     _emit(opts.out_dir, files)
     if overall is not None:
         print(f"audit: {overall}")
@@ -425,7 +437,7 @@ def cmd_paper_tables(args, raw, opts) -> int:
     }
     files = {"paper_tables.json": _dump_json(payload)}
     if opts.fmt == "csv":
-        files["paper_tables.csv"] = _table("csv", _PAPER_HEADER, entries)
+        files["paper_tables.csv"] = _table("csv", _columns(_PAPER_HEADER, entries), entries)
 
     for e in entries:
         fitted = "n/a" if e["fitted"] is None else f"{e['fitted']:.6g}"
@@ -467,7 +479,8 @@ def cmd_sweep(args, raw, opts) -> int:
                     {"class": cls, "scenario": scen_name, "draw": draw, **asdict(pair)}
                     for pair in audit.pairs
                 ]
-    _emit(opts.out_dir, {f"sweep.{opts.fmt}": _table(opts.fmt, _SWEEP_HEADER, rows)})
+    table = _table(opts.fmt, _columns(_SWEEP_HEADER, rows), rows)
+    _emit(opts.out_dir, {f"sweep.{opts.fmt}": table})
     verdicts = [row["verdict"] for row in rows]
     fails = verdicts.count("FAIL")
     print(

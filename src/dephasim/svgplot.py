@@ -78,11 +78,11 @@ def line_chart(
     if y_hi - y_lo < 1e-300:
         y_hi = y_lo + 1.0
 
-    def x_px(x: float) -> float:
+    # pixel coordinates of a value or an array of them, one operation order for both
+    def x_px(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def y_px(y: float) -> float:
-        v = math.log10(y) if log_y else y
+    def y_px(v):
         return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -110,7 +110,7 @@ def line_chart(
             f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
         )
     for tick in _ticks(y_lo, y_hi):
-        py = _MARGIN_TOP + (y_hi - tick) / (y_hi - y_lo) * plot_h
+        py = y_px(tick)
         label = f"1e{_fmt(tick)}" if log_y else _fmt(tick)
         parts.append(
             f'<line x1="{_MARGIN_LEFT - 5}" y1="{_fmt(py)}" x2="{_MARGIN_LEFT}" '
@@ -129,7 +129,11 @@ def line_chart(
 
     for i, (label, xs, ys) in enumerate(cleaned):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{_fmt(x_px(x))},{_fmt(y_px(y))}" for x, y in zip(xs, ys))
+        # math.log10 per point, not np.log10, which differs in the last bit on some values
+        vs = np.fromiter(map(math.log10, ys.tolist()), float, ys.size) if log_y else ys
+        points = " ".join(
+            f"{x:.6g},{y:.6g}" for x, y in zip(x_px(xs).tolist(), y_px(vs).tolist())
+        )
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dephasim.cli import main
+from dephasim import svgplot
+from dephasim.cli import _columns, _table, _trajectory_columns, main
 from dephasim.config import (
     ConfigParseError,
     ConfigValidationError,
@@ -336,8 +338,8 @@ def test_negative_seed_flag_is_validation_error(fragile_conf, tmp_path, capsys, 
 
 
 def test_run_long_horizon_is_exact(tmp_path, capsys):
-    # 64 samples over 1000 / rate: the concurrence is below its level from
-    # the second sample on, and only the refinement on the exact curve finds tau
+    # 64 samples over 1000 / rate: the trajectory spans many decay times, and
+    # the report, bracketed on the default grid, still finds the exact tau
     conf = tmp_path / "long.conf"
     conf.write_text(
         FRAGILE_CONF.replace("rate = 1.0", "rate = 2.0")
@@ -509,3 +511,117 @@ def test_line_chart_structure():
     # log mode drops nonpositive values instead of failing
     svg_log = line_chart([("zero", xs, np.zeros(10))], "t", "x", "y", log_y=True)
     assert "polyline" not in svg_log
+
+
+def _w_conf(tmp_path, extra: str):
+    conf = tmp_path / "w.conf"
+    conf.write_text(
+        W_CONF.replace("grid.samples = 16\n", "")
+        + "scenario.channels[1].kind = pair_collective\n"
+        + "scenario.channels[1].qubits = B, C\n"
+        + "scenario.channels[1].rate = 0.7\n"
+        + extra
+    )
+    return conf
+
+
+def test_run_taus_do_not_depend_on_the_output_grid(tmp_path):
+    # the report brackets its crossings on the default grid whatever the
+    # output grid, so its files are the same to the last bit
+    grids = ("", "grid.samples = 64\n", "grid.samples = 2000\n", "grid.t_max = 7.5\n")
+    written = []
+    for k, extra in enumerate(grids):
+        out = tmp_path / f"out{k}"
+        conf = _w_conf(tmp_path, extra + "outputs = timescales, audit\n")
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+        written.append([(out / name).read_bytes() for name in ("timescales.csv", "audit.csv")])
+    assert all(files == written[0] for files in written[1:])
+    assert b"concurrence,AB," in written[0][0]
+
+
+def test_trajectory_cells_round_trip_to_their_columns(tmp_path):
+    outputs = "elements, concurrence, eof, reduced"
+    conf = _w_conf(tmp_path, f"grid.samples = 300\noutputs = {outputs}\n")
+    raw = load_config(conf)
+    scenario = scenario_from(raw)
+    columns = _trajectory_columns(
+        state_from(raw), scenario, grid_from(raw, scenario), tuple(outputs.split(", "))
+    )
+    assert main(["run", "--config", str(conf), "--out", str(tmp_path / "c")]) == 0
+    with (tmp_path / "c" / "trajectory.csv").open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(columns)
+    for name, cells in zip(header, zip(*rows)):
+        assert [float(cell).hex() for cell in cells] == [x.hex() for x in columns[name].tolist()]
+
+    assert main(["run", "--config", str(conf), "--out", str(tmp_path / "j"), "--format", "json"]) == 0
+    reference = {
+        name: ["inf" if math.isinf(x) else x for x in col.tolist()] for name, col in columns.items()
+    }
+    text = (tmp_path / "j" / "trajectory.json").read_text()
+    assert text == json.dumps(reference, indent=2) + "\n"
+    assert _table("json", {}, {"x": np.array([0.5, math.inf])}) == '{\n  "x": [\n    0.5,\n    "inf"\n  ]\n}\n'
+
+
+def test_row_tables_render_none_bool_and_inf_cells():
+    header = ["pair", "verdict", "tau_dis", "tau_bound", "margin", "ok", "note"]
+    rows = [
+        {"pair": "AB", "verdict": "VACUOUS", "tau_dis": None, "tau_bound": None, "margin": None},
+        {
+            "pair": "AC",
+            "verdict": "PASS",
+            "tau_dis": np.float64(0.25),
+            "tau_bound": math.inf,
+            "margin": 3,
+            "ok": True,
+            "note": "a, b",
+        },
+        {"pair": "overall", "verdict": "VACUOUS", "ok": False},
+    ]
+    assert _table("csv", _columns(header, rows), rows) == (
+        "pair,verdict,tau_dis,tau_bound,margin,ok,note\n"
+        "AB,VACUOUS,,,,,\n"
+        'AC,PASS,0.25,inf,3,true,"a, b"\n'
+        "overall,VACUOUS,,,,false,\n"
+    )
+    assert _table("csv", _columns(header, []), []) == ",".join(header) + "\n"
+
+
+def _reference_polylines(series, log_y: bool) -> list[str]:
+    """`line_chart`'s polyline points, computed one data point at a time."""
+    plot_w = svgplot._WIDTH - svgplot._MARGIN_LEFT - svgplot._MARGIN_RIGHT
+    plot_h = svgplot._HEIGHT - svgplot._MARGIN_TOP - svgplot._MARGIN_BOTTOM
+    kept = []
+    for _, xs, ys in series:
+        points = [(x, y) for x, y in zip(xs.tolist(), ys.tolist()) if y > 0 or not log_y]
+        if points:
+            kept.append(points)
+    x_lo = min(x for points in kept for x, _ in points)
+    x_hi = max(x for points in kept for x, _ in points)
+    y_vals = np.array([y for points in kept for _, y in points])
+    y_vals = np.log10(y_vals) if log_y else y_vals
+    y_lo, y_hi = float(np.min(y_vals)), float(np.max(y_vals))
+
+    def point(x: float, y: float) -> str:
+        px = svgplot._MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        v = math.log10(y) if log_y else y
+        py = svgplot._MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
+        return f"{px:.6g},{py:.6g}"
+
+    return [" ".join(point(x, y) for x, y in points) for points in kept]
+
+
+@pytest.mark.parametrize("log_y", [False, True])
+def test_line_chart_polyline_matches_the_per_point_formula(log_y):
+    rng = np.random.default_rng(8)
+    xs = np.sort(rng.uniform(-2.0, 5.0, 400))
+    series = [
+        ("spread", xs, 10.0 ** rng.uniform(-250.0, 3.0, 400)),
+        ("signed", xs, rng.normal(size=400)),
+        ("negative", xs[:50], -rng.uniform(0.0, 1.0, 50)),
+        ("zeros", xs, np.where(rng.random(400) < 0.5, 0.0, rng.uniform(0.0, 1e-3, 400))),
+    ]
+    svg = line_chart(series, "title", "t", "y", log_y=log_y)
+    polylines = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert polylines == _reference_polylines(series, log_y)
+    assert len(polylines) == (3 if log_y else 4)

@@ -111,6 +111,16 @@ def test_same_seed_is_bit_identical_across_blocks():
     assert not np.array_equal(a, shorter)
 
 
+def test_a_weak_field_keeps_its_phase_beside_a_strong_one():
+    # local(B) at 2.6e43 randomises every coherence that flips B, and cancels
+    # on those that flip only A, where local(A)'s phase alone must survive:
+    # a difference of per-state phase sums rounded it away (max_z 61.6)
+    spec = draw_state("fragile2", np.random.default_rng(5))
+    scenario = NoiseScenario(2, ((Local("A"), 8.1e3), (Local("B"), 2.6e43)))
+    cmp_ = compare_to_channel(spec, scenario, TrajectoryConfig(2000, 27, 1.0))
+    assert cmp_.passed, cmp_.max_z
+
+
 def test_fragment_pattern_under_pair_collective():
     spec = Fragile(0.6, 0.5, math.sqrt(1 - 0.61))
     rho0 = projector(spec).matrix

@@ -197,11 +197,9 @@ def test_evolution_stays_a_state(case, t):
 
 
 #: the Monte Carlo census: every proven-equivalent layout, trajectory counts
-#: from one to thousands, and one rate and one horizon per config, each
-#: log-uniform over SCALE_RANGE.  The channels of a config share its rate:
-#: fields whose phase spreads differ by more than about 2^53 lose the smaller
-#: phase to roundoff in `simulate_statistics`, a fault of the ensemble that
-#: CHANGES.md records, not of the verdict measured here.
+#: from one to thousands, and one rate per channel and one horizon per config,
+#: each log-uniform over SCALE_RANGE, so that fields whose phase spreads differ
+#: by far more than 2^53 meet in one ensemble.
 CENSUS_LAYOUTS = {
     size: [layout for layout in LAYOUTS[size] if not any(isinstance(k, TripleCollective) for k in layout)]
     for size in (2, 3)
@@ -220,8 +218,8 @@ def test_verify_census_false_alarms_stay_within_the_binomial_bound():
             cls = classes[rng.integers(len(classes))]
             size = len(STATE_TYPES[cls].register)
             layout = CENSUS_LAYOUTS[size][rng.integers(len(CENSUS_LAYOUTS[size]))]
-            rate, t = 10.0 ** rng.uniform(low, high, 2)
-            scenario = NoiseScenario(size, tuple((kind, rate) for kind in layout))
+            *rates, t = 10.0 ** rng.uniform(low, high, len(layout) + 1)
+            scenario = NoiseScenario(size, tuple(zip(layout, rates)))
             cmp_ = compare_to_channel(draw_state(cls, rng), scenario, TrajectoryConfig(n, seed, t))
             assert math.isfinite(cmp_.max_z), (n, seed, cls, scenario.label, t)
             trials += 1

@@ -425,14 +425,15 @@ def test_disentanglement_time_sits_on_the_level():
 
 
 def test_taus_do_not_depend_on_the_grid():
-    # a coarse short grid needs the doubling past t_max; a fine one brackets tightly
+    # a coarse short grid needs the doubling past t_max; a fine one brackets
+    # tightly; on a long one every sample after t = 0 is below the level
     rng = np.random.default_rng(12)
     for cls, scen_name in PAPER_MATRIX:
         scenario = named_scenario(scen_name, 1.0)
         spec = draw_state(cls, rng)
         reports = [
             build_report(spec, scenario, grid)
-            for grid in (None, TimeGrid(0.3, 8), TimeGrid(3.0, 2000))
+            for grid in (None, TimeGrid(0.3, 8), TimeGrid(3.0, 2000), TimeGrid(1000.0, 64))
         ]
         base = _all_rows(reports[0])
         for other in reports[1:]:
