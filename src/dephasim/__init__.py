@@ -16,9 +16,6 @@ from .channels import (
     PairCollective,
     TripleCollective,
     apply_kraus,
-    build_local_kraus,
-    build_pair_collective_kraus,
-    build_triple_collective_kraus,
     decay_exponents,
     evolve,
     gamma,

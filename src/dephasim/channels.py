@@ -5,10 +5,12 @@ acting at one of three scales: a single qubit, a qubit pair sharing one
 noise field, or the whole three-qubit register.  A scenario bundles the
 channels acting on a register together with their damping rates.
 
-Because every operator is diagonal, the operator sum multiplies each
-coherence (i, j) by its own factor, exp(-E_ij t).  ``decay_exponents``
+Because every operator is diagonal, a ``KrausSet`` stores only the
+diagonals, ``kraus_for`` builds the set of every channel kind, and
+``apply_kraus`` takes the operator sum elementwise.  The sum multiplies
+each coherence (i, j) by its own factor, exp(-E_ij t): ``decay_exponents``
 builds the exponent matrix E of a scenario once from the Kraus diagonals,
-and ``evolve`` applies the diagonal operator sum as rho0 * exp(-t E).
+and ``evolve`` applies the channels as rho0 * exp(-t E).
 """
 
 from __future__ import annotations
@@ -170,117 +172,73 @@ class NoiseScenario:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Ordered decomposition operators of one trace-preserving channel."""
+    """Ordered decomposition operators of one trace-preserving diagonal channel.
 
-    operators: tuple[np.ndarray, ...]
+    Row k of `operators`, a (k, dim) float array, is the diagonal d_k of
+    the k-th operator K_k = diag(d_k).
+    """
+
+    operators: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "operators", tuple(np.asarray(k) for k in self.operators))
-        dims = {k.shape for k in self.operators}
-        if len(dims) != 1:
-            raise ValueError(f"operators have mixed shapes: {dims}")
+        operators = np.asarray(self.operators, dtype=float)
+        if operators.ndim != 2:
+            raise ValueError(
+                f"operators must be a (k, dim) array of diagonals, got shape {operators.shape}"
+            )
+        object.__setattr__(self, "operators", operators)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-
-def _diagonal_set(patterns, support, register_size: int) -> KrausSet:
-    """Register-wide operators whose diagonals act on the support subspace as `patterns`."""
-    sub = subspace_index(support, QUBITS[:register_size])
-    return KrausSet(tuple(np.diag(np.asarray(p, dtype=float)[sub]) for p in patterns))
-
-
-def build_local_kraus(qubit: str, register_size: int, rate: float, t: float) -> KrausSet:
-    """Two operators dephasing one qubit: diag(1, g) and diag(0, w) on it."""
-    if qubit not in QUBITS[:register_size]:
-        raise ValueError(f"qubit {qubit!r} outside the {register_size}-qubit register")
-    g = gamma(rate, t)
-    w = math.sqrt(1.0 - g * g)
-    return _diagonal_set([(1.0, g), (0.0, w)], (qubit,), register_size)
-
-
-def build_pair_collective_kraus(
-    first: str, second: str, register_size: int, rate: float, t: float
-) -> KrausSet:
-    """Three operators dephasing a qubit pair collectively.
-
-    On the pair subspace (ordered 00, 01, 10, 11) the diagonals are
-    (g, 1, 1, g), (w1, 0, 0, w2) and (0, 0, 0, w3), tensored with identity
-    on any remaining qubit.
-    """
-    kind = PairCollective(first, second)
-    if set(kind.support) - set(QUBITS[:register_size]):
-        raise ValueError(f"pair {kind.label} outside the {register_size}-qubit register")
-    g = gamma(rate, t)
-    w1, w2, w3 = omega_factors(rate, t)
-    patterns = [
-        (g, 1.0, 1.0, g),
-        (w1, 0.0, 0.0, w2),
-        (0.0, 0.0, 0.0, w3),
-    ]
-    return _diagonal_set(patterns, kind.support, register_size)
-
-
-def build_triple_collective_kraus(rate: float, t: float) -> KrausSet:
-    """Three 8x8 operators dephasing the whole three-qubit register."""
-    g = gamma(rate, t)
-    w1, w2, w3 = omega_factors(rate, t)
-    patterns = [
-        (g, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, g),
-        (w1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, w2),
-        (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, w3),
-    ]
-    return _diagonal_set(patterns, QUBITS, 3)
+        return self.operators.shape[1]
 
 
 def kraus_for(kind: ChannelKind, register_size: int, rate: float, t: float) -> KrausSet:
-    """KrausSet of a channel kind at the given register size, rate and time."""
+    """KrausSet of a channel kind at the given register size, rate and time.
+
+    On its support subspace a local channel has the diagonals (1, g) and
+    (0, w) with w = sqrt(1 - g^2); a collective channel on k qubits has
+    (g, 1, ..., 1, g), (w1, 0, ..., 0, w2) and (0, ..., 0, w3), the
+    ``omega_factors``.  Each is tensored with identity on the other qubits.
+    """
+    if not isinstance(kind, (Local, PairCollective, TripleCollective)):
+        raise TypeError(f"unknown channel kind: {kind!r}")
+    register = QUBITS[:register_size]
+    if set(kind.support) - set(register):
+        raise ValueError(f"channel {kind.label} acts outside the {register_size}-qubit register")
+    g = gamma(rate, t)
     if isinstance(kind, Local):
-        return build_local_kraus(kind.qubit, register_size, rate, t)
-    if isinstance(kind, PairCollective):
-        return build_pair_collective_kraus(kind.first, kind.second, register_size, rate, t)
-    if isinstance(kind, TripleCollective):
-        if register_size != 3:
-            raise ValueError("triple-collective channel needs a three-qubit register")
-        return build_triple_collective_kraus(rate, t)
-    raise TypeError(f"unknown channel kind: {kind!r}")
+        patterns = np.array([(1.0, g), (0.0, math.sqrt(1.0 - g * g))])
+    else:
+        patterns = np.zeros((3, 1 << len(kind.support)))
+        patterns[0] = 1.0
+        patterns[0, [0, -1]] = g
+        w1, w2, w3 = omega_factors(rate, t)
+        patterns[1, [0, -1]] = w1, w2
+        patterns[2, -1] = w3
+    return KrausSet(patterns[:, subspace_index(kind.support, register)])
 
 
 def verify_completeness(ks: KrausSet) -> float:
-    """Max-norm deviation of sum(K^dagger K) from the identity."""
-    acc = np.zeros((ks.dim, ks.dim), dtype=complex)
-    for k in ks.operators:
-        acc += k.conj().T @ k
-    return float(np.max(np.abs(acc - np.eye(ks.dim))))
+    """Max deviation of sum_k K_k^dagger K_k = diag(sum_k d_k^2) from the identity."""
+    return float(np.max(np.abs(np.sum(ks.operators**2, axis=0) - 1.0)))
 
 
-def _matrix_of(rho) -> np.ndarray:
-    return rho.matrix if hasattr(rho, "matrix") else np.asarray(rho)
+def apply_kraus(rho: np.ndarray, ks: KrausSet) -> np.ndarray:
+    """Operator sum sum_k K rho K^dagger, elementwise: sum_k d_k[:, None] * rho * d_k[None, :].
 
-
-def _with_matrix(rho, matrix: np.ndarray):
-    if hasattr(rho, "matrix"):
-        return replace(rho, matrix=matrix)
-    return matrix
-
-
-def apply_kraus(rho, ks: KrausSet):
-    """Operator sum sum_k K rho K^dagger.
-
-    Accepts a DensityMatrix or a bare array and returns the same kind.
     Refuses sets whose completeness deviation exceeds COMPLETENESS_LIMIT.
     """
-    mat = _matrix_of(rho)
+    mat = np.asarray(rho)
     if mat.shape != (ks.dim, ks.dim):
         raise ValueError(f"state of shape {mat.shape} does not match operators of dim {ks.dim}")
     deviation = verify_completeness(ks)
     if deviation > COMPLETENESS_LIMIT:
         raise ValueError(f"Kraus set violates completeness by {deviation:.3e}")
-    out = np.zeros_like(mat, dtype=complex)
-    for k in ks.operators:
-        out += k @ mat @ k.conj().T
-    return _with_matrix(rho, out)
+    out = np.zeros(mat.shape, dtype=complex)
+    for d in ks.operators:
+        out += d[:, None] * mat * d[None, :]
+    return out
 
 
 def decay_exponents(scenario: NoiseScenario) -> np.ndarray:
@@ -316,10 +274,11 @@ def evolve(rho0, scenario: NoiseScenario, t):
     if np.any(times < 0):
         raise ValueError(f"time must be nonnegative, got {t}")
     dim = 1 << scenario.register_size
-    mat = _matrix_of(rho0)
+    is_state = hasattr(rho0, "matrix")
+    mat = rho0.matrix if is_state else np.asarray(rho0)
     if mat.shape != (dim, dim):
         raise ValueError(
             f"state of shape {mat.shape} does not match a {scenario.register_size}-qubit scenario"
         )
     out = mat.astype(complex) * np.exp(-times * decay_exponents(scenario))
-    return _with_matrix(rho0, out)
+    return replace(rho0, matrix=out) if is_state else out

@@ -173,13 +173,17 @@ def _trajectory_columns(
     spec: StateSpec, scenario: NoiseScenario, grid: TimeGrid, outputs: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
     stack = sample_evolution(spec, scenario, grid)
-    register = spec.register
-    reduced = reduced_stacks(stack, register)
-    curves = {label: concurrence_curve(red) for label, red in reduced.items() if len(label) == 2}
-
     columns: dict[str, np.ndarray] = {"t": grid.times}
     if "elements" in outputs:
         columns.update(_magnitudes("abs_", stack))
+    if not {"concurrence", "eof", "reduced"}.intersection(outputs):
+        return columns
+    register = spec.register
+    reduced = reduced_stacks(stack, register)
+    pairwise = "concurrence" in outputs or "eof" in outputs
+    curves = {
+        pair: concurrence_curve(red) for pair, red in reduced.items() if pairwise and len(pair) == 2
+    }
     if "concurrence" in outputs:
         # squared concurrence is the pairwise quantity at three qubits
         for label, c in curves.items():
@@ -364,11 +368,10 @@ def _oracle_check(cls: str, scenario: NoiseScenario, seed: int) -> float:
     times = np.linspace(0.0, 2.0, 5)
     for _ in range(10):
         spec = draw_state(cls, rng)
-        rho0 = projector(spec)
-        for t in times:
+        stack = evolve(projector(spec).matrix, scenario, times[:, None, None])
+        for t, got in zip(times, stack):
             expected = analytic_evolved(spec, scenario, t)
-            got = evolve(rho0, scenario, t)
-            worst = max(worst, frobenius_distance(expected.matrix, got.matrix))
+            worst = max(worst, frobenius_distance(expected.matrix, got))
     return worst
 
 
@@ -490,18 +493,25 @@ def cmd_sweep(args, raw, opts) -> int:
     return EXIT_CHECK_FAILED if fails else EXIT_OK
 
 
-def _add_common(sp: argparse.ArgumentParser, config_required: bool = True) -> None:
-    sp.add_argument("--config", required=config_required, help="path to the run config file")
-    sp.add_argument("--out", help="output directory (default: 'out' or config key)")
-    sp.add_argument("--format", choices=("csv", "json"), help="table format")
-    sp.add_argument("--plots", action="store_true", help="write SVG line charts")
-    sp.add_argument("--seed", type=int, help="override mc.seed / sweep.seed")
-    sp.add_argument(
-        "--force-informational",
-        action="store_true",
-        help="compare scenarios outside the proven-equivalent channel set",
-    )
-    sp.add_argument("--convention", choices=("c", "c2", "both"), help="concurrence convention")
+#: keyword arguments of the flags that only some commands read
+_FLAGS = {
+    "format": {"choices": ("csv", "json"), "help": "table format"},
+    "plots": {"action": "store_true", "help": "write SVG line charts"},
+    "seed": {"type": int, "help": "override mc.seed / sweep.seed"},
+    "force-informational": {
+        "action": "store_true",
+        "help": "compare scenarios outside the proven-equivalent channel set",
+    },
+    "convention": {"choices": ("c", "c2", "both"), "help": "concurrence convention"},
+}
+
+#: name: (handler, help, the flags it reads besides --config and --out)
+_COMMANDS = {
+    "run": (cmd_run, "evolve a state and emit trajectories and reports", "format plots convention"),
+    "verify": (cmd_verify, "Monte Carlo cross-check of the evolution", "seed force-informational"),
+    "paper-tables": (cmd_paper_tables, "reproduce every published timescale and audit", "format"),
+    "sweep": (cmd_sweep, "audit random coefficient draws across scenarios", "format seed"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,19 +519,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dephasim",
         description="Dephasing-channel evolution, entanglement decay and timescale audits",
     )
+    # a command without one of these flags reads it as unset
+    parser.set_defaults(format=None, plots=False, convention=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="evolve a state and emit trajectories and reports")
-    _add_common(run_p)
-    run_p.set_defaults(handler=cmd_run)
-    verify_p = sub.add_parser("verify", help="Monte Carlo cross-check of the channel evolution")
-    _add_common(verify_p)
-    verify_p.set_defaults(handler=cmd_verify)
-    tables_p = sub.add_parser("paper-tables", help="reproduce every published timescale and audit")
-    _add_common(tables_p, config_required=False)
-    tables_p.set_defaults(handler=cmd_paper_tables)
-    sweep_p = sub.add_parser("sweep", help="audit random coefficient draws across scenarios")
-    _add_common(sweep_p)
-    sweep_p.set_defaults(handler=cmd_sweep)
+    for name, (handler, help_, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("--config", required=name != "paper-tables", help="path to the config file")
+        sp.add_argument("--out", help="output directory (default: 'out' or config key)")
+        for flag in flags.split():
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+        sp.set_defaults(handler=handler)
     return parser
 
 

@@ -11,11 +11,12 @@ import time
 import numpy as np
 
 from dephasim.channels import (
-    build_local_kraus,
-    build_pair_collective_kraus,
-    build_triple_collective_kraus,
+    Local,
+    PairCollective,
+    TripleCollective,
     evolve,
     gamma,
+    kraus_for,
     verify_completeness,
 )
 from dephasim.cli import main
@@ -184,13 +185,14 @@ def test_criterion_08_channel_sanity():
     for _ in range(20):
         rate = float(rng.uniform(0.1, 4.0))
         t = float(rng.uniform(0.0, 4.0))
-        for ks in (
-            build_local_kraus("A", 2, rate, t),
-            build_local_kraus("C", 3, rate, t),
-            build_pair_collective_kraus("A", "B", 2, rate, t),
-            build_pair_collective_kraus("A", "C", 3, rate, t),
-            build_triple_collective_kraus(rate, t),
+        for kind, register_size in (
+            (Local("A"), 2),
+            (Local("C"), 3),
+            (PairCollective("A", "B"), 2),
+            (PairCollective("A", "C"), 3),
+            (TripleCollective(), 3),
         ):
+            ks = kraus_for(kind, register_size, rate, t)
             worst_completeness = max(worst_completeness, verify_completeness(ks))
     ok = worst_completeness <= 1e-12
 

@@ -11,9 +11,6 @@ from dephasim.channels import (
     PairCollective,
     TripleCollective,
     apply_kraus,
-    build_local_kraus,
-    build_pair_collective_kraus,
-    build_triple_collective_kraus,
     decay_exponents,
     evolve,
     gamma,
@@ -78,47 +75,45 @@ def test_omega_factors_closed_form():
 
 def test_local_kraus_structure_three_qubits():
     g = gamma(0.8, 1.3)
-    ks = build_local_kraus("A", 3, 0.8, 1.3)
-    assert np.allclose(np.diag(ks.operators[0]), [1, 1, 1, 1, g, g, g, g])
+    ks = kraus_for(Local("A"), 3, 0.8, 1.3)
+    assert np.allclose(ks.operators[0], [1, 1, 1, 1, g, g, g, g])
     w = math.sqrt(1 - g * g)
-    assert np.allclose(np.diag(ks.operators[1]), [0, 0, 0, 0, w, w, w, w])
+    assert np.allclose(ks.operators[1], [0, 0, 0, 0, w, w, w, w])
 
 
 def test_local_kraus_identity_at_t_zero():
-    ks = build_local_kraus("B", 2, 1.0, 0.0)
-    assert np.array_equal(ks.operators[0], np.eye(4))
+    ks = kraus_for(Local("B"), 2, 1.0, 0.0)
+    assert np.array_equal(ks.operators[0], np.ones(4))
     assert np.max(np.abs(ks.operators[1])) == 0.0
 
 
 def test_local_kraus_scales_corner_coherence():
     v = np.array([1, 0, 0, 1]) / math.sqrt(2)
     rho = np.outer(v, v.conj())
-    out = apply_kraus(rho, build_local_kraus("A", 2, 1.0, 1.0))
+    out = apply_kraus(rho, kraus_for(Local("A"), 2, 1.0, 1.0))
     g = gamma(1.0, 1.0)
     assert abs(out[0, 3] - rho[0, 3] * g) < 1e-15
     assert abs(out[0, 0] - rho[0, 0]) < 1e-15
 
 
 def test_local_kraus_rejects_outside_register():
-    with pytest.raises(ValueError):
-        build_local_kraus("C", 2, 1.0, 1.0)
+    with pytest.raises(ValueError, match="outside the 2-qubit register"):
+        kraus_for(Local("C"), 2, 1.0, 1.0)
 
 
 def test_pair_kraus_matches_printed_two_qubit_operators():
     rate, t = 1.0, 0.7
     g = gamma(rate, t)
     w1, w2, w3 = omega_factors(rate, t)
-    ks = build_pair_collective_kraus("A", "B", 2, rate, t)
-    assert np.allclose(ks.operators[0], np.diag([g, 1.0, 1.0, g]))
-    assert np.allclose(ks.operators[1], np.diag([w1, 0.0, 0.0, w2]))
-    assert np.allclose(ks.operators[2], np.diag([0.0, 0.0, 0.0, w3]))
+    ks = kraus_for(PairCollective("A", "B"), 2, rate, t)
+    assert np.allclose(ks.operators, [[g, 1.0, 1.0, g], [w1, 0.0, 0.0, w2], [0.0, 0.0, 0.0, w3]])
 
 
 def test_pair_kraus_element_scalings():
     rate, t = 1.0, 0.9
     g = gamma(rate, t)
     rho = np.full((4, 4), 0.25, dtype=complex)
-    out = apply_kraus(rho, build_pair_collective_kraus("A", "B", 2, rate, t))
+    out = apply_kraus(rho, kraus_for(PairCollective("A", "B"), 2, rate, t))
     # |++><--| gains the net g^4 factor, |+-><-+| is untouched
     assert abs(out[0, 3] - 0.25 * g**4) < 1e-15
     assert abs(out[1, 2] - 0.25) < 1e-15
@@ -128,9 +123,9 @@ def test_pair_kraus_element_scalings():
 def test_pair_kraus_non_adjacent_embedding():
     rate, t = 1.0, 0.5
     g = gamma(rate, t)
-    ks = build_pair_collective_kraus("A", "C", 3, rate, t)
+    ks = kraus_for(PairCollective("A", "C"), 3, rate, t)
     # pair subspace values by (bit A, bit C): indices 0..7 -> 00,01,00,01,10,11,10,11
-    assert np.allclose(np.diag(ks.operators[0]), [g, 1, g, 1, 1, g, 1, g])
+    assert np.allclose(ks.operators[0], [g, 1, g, 1, 1, g, 1, g])
     assert verify_completeness(ks) < 1e-12
 
 
@@ -138,47 +133,47 @@ def test_triple_kraus_structure_and_identity():
     rate, t = 0.7, 1.1
     g = gamma(rate, t)
     w1, w2, w3 = omega_factors(rate, t)
-    ks = build_triple_collective_kraus(rate, t)
-    assert np.allclose(np.diag(ks.operators[0]), [g, 1, 1, 1, 1, 1, 1, g])
-    assert np.allclose(np.diag(ks.operators[1]), [w1, 0, 0, 0, 0, 0, 0, w2])
-    assert np.allclose(np.diag(ks.operators[2]), [0, 0, 0, 0, 0, 0, 0, w3])
-    identity = build_triple_collective_kraus(1.0, 0.0)
-    assert np.array_equal(identity.operators[0], np.eye(8))
+    ks = kraus_for(TripleCollective(), 3, rate, t)
+    assert np.allclose(ks.operators[0], [g, 1, 1, 1, 1, 1, 1, g])
+    assert np.allclose(ks.operators[1], [w1, 0, 0, 0, 0, 0, 0, w2])
+    assert np.allclose(ks.operators[2], [0, 0, 0, 0, 0, 0, 0, w3])
+    identity = kraus_for(TripleCollective(), 3, 1.0, 0.0)
+    assert np.array_equal(identity.operators[0], np.ones(8))
 
 
 def test_triple_kraus_corner_coherence_gets_g4():
     rate, t = 1.0, 0.8
     g = gamma(rate, t)
     rho = projector(draw_state("ghz", np.random.default_rng(0))).matrix
-    out = apply_kraus(rho, build_triple_collective_kraus(rate, t))
+    out = apply_kraus(rho, kraus_for(TripleCollective(), 3, rate, t))
     assert abs(out[0, 7] - rho[0, 7] * g**4) < 1e-15
 
 
 def test_triple_kraus_leaves_w_support_untouched():
     rho = projector(draw_state("w", np.random.default_rng(1))).matrix
-    out = apply_kraus(rho, build_triple_collective_kraus(1.0, 2.0))
+    out = apply_kraus(rho, kraus_for(TripleCollective(), 3, 1.0, 2.0))
     assert np.max(np.abs(out - rho)) < 1e-15
 
 
 def test_verify_completeness_identity_and_builders():
-    assert verify_completeness(KrausSet((np.eye(4),))) == 0.0
+    assert verify_completeness(KrausSet(np.ones((1, 4)))) == 0.0
     rng = np.random.default_rng(2)
     for _ in range(20):
         rate = float(rng.uniform(0.1, 4.0))
         t = float(rng.uniform(0.0, 4.0))
-        for ks in (
-            build_local_kraus("A", 3, rate, t),
-            build_pair_collective_kraus("B", "C", 3, rate, t),
-            build_triple_collective_kraus(rate, t),
-            build_pair_collective_kraus("A", "B", 2, rate, t),
+        for kind, register_size in (
+            (Local("A"), 3),
+            (PairCollective("B", "C"), 3),
+            (TripleCollective(), 3),
+            (PairCollective("A", "B"), 2),
         ):
-            assert verify_completeness(ks) <= 1e-12
+            assert verify_completeness(kraus_for(kind, register_size, rate, t)) <= 1e-12
 
 
 def test_verify_completeness_detects_missing_operator():
     rate, t = 1.0, 1.0
     g = gamma(rate, t)
-    full = build_triple_collective_kraus(rate, t)
+    full = kraus_for(TripleCollective(), 3, rate, t)
     truncated = KrausSet(full.operators[:2])
     expected = (1 - g**2) * (1 - g**4)
     assert abs(verify_completeness(truncated) - expected) < 1e-12
@@ -187,13 +182,13 @@ def test_verify_completeness_detects_missing_operator():
 def test_apply_kraus_identity_set():
     rng = np.random.default_rng(3)
     rho = random_density(rng, 2)
-    out = apply_kraus(rho, KrausSet((np.eye(4),)))
+    out = apply_kraus(rho, KrausSet(np.ones((1, 4))))
     assert np.max(np.abs(out - rho)) < 1e-15
 
 
 def test_apply_kraus_preserves_diagonal_input():
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    out = apply_kraus(rho, build_pair_collective_kraus("A", "B", 2, 1.0, 1.0))
+    out = apply_kraus(rho, kraus_for(PairCollective("A", "B"), 2, 1.0, 1.0))
     assert np.max(np.abs(out - rho)) < 1e-15
 
 
@@ -203,7 +198,7 @@ def test_apply_kraus_reproduces_collective_fragile_pattern():
     rho = projector(spec).matrix
     t = 1.4
     g = gamma(1.0, t)
-    out = apply_kraus(rho, build_pair_collective_kraus("A", "B", 2, 1.0, t))
+    out = apply_kraus(rho, kraus_for(PairCollective("A", "B"), 2, 1.0, t))
     expected = rho * np.array(
         [
             [1, g, g, g**4],
@@ -216,28 +211,54 @@ def test_apply_kraus_reproduces_collective_fragile_pattern():
 
 
 def test_apply_kraus_refuses_incomplete_set():
-    bad = KrausSet((np.diag([1.0, 0.5, 0.5, 1.0]),))
+    bad = KrausSet([[1.0, 0.5, 0.5, 1.0]])
     with pytest.raises(ValueError, match="completeness"):
         apply_kraus(np.eye(4) / 4, bad)
 
 
 def test_apply_kraus_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply_kraus(np.eye(8) / 8, KrausSet((np.eye(4),)))
+        apply_kraus(np.eye(8) / 8, KrausSet(np.ones((1, 4))))
+
+
+#: every channel kind with each register size it fits in
+KINDS_ON_REGISTERS = [
+    (Local("A"), 2), (Local("B"), 2), (PairCollective("A", "B"), 2),
+    (Local("A"), 3), (Local("B"), 3), (Local("C"), 3),
+    (PairCollective("A", "B"), 3), (PairCollective("A", "C"), 3), (PairCollective("B", "C"), 3),
+    (TripleCollective(), 3),
+]
+
+
+@pytest.mark.parametrize("kind, register_size", KINDS_ON_REGISTERS)
+def test_apply_kraus_matches_the_literal_operator_sum(kind, register_size):
+    # the dense reference: each operator as the matrix diag(d), summed as K rho K^T
+    rng = np.random.default_rng(15)
+    dim = 1 << register_size
+    for _ in range(10):
+        rate, t = float(rng.uniform(0.01, 5.0)), float(rng.uniform(0.0, 5.0))
+        rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        ks = kraus_for(kind, register_size, rate, t)
+        literal = sum(np.diag(d) @ rho @ np.diag(d).T for d in ks.operators)
+        assert np.max(np.abs(apply_kraus(rho, ks) - literal)) <= 1e-15
 
 
 def test_dagger_convention_equivalence():
     # for these real diagonal operators, sum K rho K^dag equals sum K^dag rho K
     rng = np.random.default_rng(5)
     rho = random_density(rng, 3)
-    for ks in (
-        build_local_kraus("B", 3, 1.2, 0.9),
-        build_pair_collective_kraus("A", "C", 3, 0.7, 1.5),
-        build_triple_collective_kraus(1.1, 0.6),
-    ):
-        left = sum(k @ rho @ k.conj().T for k in ks.operators)
-        right = sum(k.conj().T @ rho @ k for k in ks.operators)
+    for kind in (Local("B"), PairCollective("A", "C"), TripleCollective()):
+        ks = kraus_for(kind, 3, 1.2, 0.9)
+        dense = [np.diag(d) for d in ks.operators]
+        left = sum(k @ rho @ k.conj().T for k in dense)
+        right = sum(k.conj().T @ rho @ k for k in dense)
         assert np.max(np.abs(left - right)) < 1e-15
+
+
+@pytest.mark.parametrize("operators", [np.ones(4), np.ones((1, 4, 4)), 1.0])
+def test_kraus_set_refuses_anything_but_a_2d_array(operators):
+    with pytest.raises(ValueError, match=r"\(k, dim\) array of diagonals"):
+        KrausSet(operators)
 
 
 def random_kind(rng, register_size):
@@ -428,5 +449,14 @@ def test_kraus_for_dispatch():
     assert kraus_for(Local("A"), 2, 1.0, 1.0).dim == 4
     assert kraus_for(PairCollective("B", "C"), 3, 1.0, 1.0).dim == 8
     assert kraus_for(TripleCollective(), 3, 1.0, 1.0).dim == 8
-    with pytest.raises(ValueError):
-        kraus_for(TripleCollective(), 2, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", [PairCollective("A", "C"), TripleCollective()])
+def test_kraus_for_refuses_a_collective_support_outside_the_register(kind):
+    with pytest.raises(ValueError, match="outside the 2-qubit register"):
+        kraus_for(kind, 2, 1.0, 1.0)
+
+
+def test_kraus_for_refuses_an_unknown_kind():
+    with pytest.raises(TypeError, match="unknown channel kind"):
+        kraus_for(("A",), 2, 1.0, 1.0)

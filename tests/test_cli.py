@@ -166,6 +166,55 @@ def test_run_output_is_deterministic(fragile_conf, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_run_elements_only_computes_no_concurrence(fragile_conf, tmp_path, monkeypatch):
+    full = tmp_path / "full"
+    assert main(["run", "--config", str(fragile_conf), "--out", str(full)]) == 0
+    conf = tmp_path / "elements.conf"
+    conf.write_text(re.sub(r"(?m)^outputs = .*$", "outputs = elements", FRAGILE_CONF))
+
+    def refuse(stack):
+        raise AssertionError("concurrence_curve called for an elements-only run")
+
+    monkeypatch.setattr("dephasim.cli.concurrence_curve", refuse)
+    out = tmp_path / "elements"
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
+    # the element columns of the full run, unchanged
+    rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()]
+    full_rows = [line.split(",") for line in (full / "trajectory.csv").read_text().splitlines()]
+    elements = [f"abs_rho_{i}{j}" for i in range(1, 5) for j in range(i + 1, 5)]
+    assert rows[0] == ["t", *elements]
+    assert rows == [row[:7] for row in full_rows]
+
+
+#: every (command, flag) pair the command does not read
+UNREAD_FLAGS = [
+    "run --seed 7",
+    "run --force-informational",
+    "verify --format json",
+    "verify --plots",
+    "verify --convention c",
+    "paper-tables --plots",
+    "paper-tables --seed 7",
+    "paper-tables --force-informational",
+    "paper-tables --convention c",
+    "sweep --plots",
+    "sweep --force-informational",
+    "sweep --convention c",
+]
+
+
+@pytest.mark.parametrize("case", UNREAD_FLAGS)
+def test_a_flag_the_command_does_not_read_is_refused(fragile_conf, tmp_path, capsys, case):
+    command, *flag = case.split()
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", str(fragile_conf), "--out", str(out), *flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_register3_schema(tmp_path):
     conf = tmp_path / "w.conf"
     conf.write_text(W_CONF)
