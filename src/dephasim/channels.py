@@ -266,9 +266,9 @@ def evolve(rho0, scenario: NoiseScenario, t):
     """State at time t under every channel of the scenario, rho0 * exp(-t E).
 
     E is ``decay_exponents(scenario)``; the channels commute, so their
-    order does not matter.  For a bare array, `t` may also be an array of
-    times shaped to broadcast against the matrix, e.g. ``times[:, None, None]``
-    for a (T, dim, dim) stack.
+    order does not matter.  `rho0` is a ``DensityMatrix`` or a (..., dim, dim)
+    stack; for a stack, `t` may be an array of times that broadcasts against
+    it, e.g. ``times[:, None, None]`` takes (N, 1, dim, dim) to (N, T, dim, dim).
     """
     times = np.asarray(t, dtype=float)
     if np.any(times < 0):
@@ -276,7 +276,7 @@ def evolve(rho0, scenario: NoiseScenario, t):
     dim = 1 << scenario.register_size
     is_state = hasattr(rho0, "matrix")
     mat = rho0.matrix if is_state else np.asarray(rho0)
-    if mat.shape != (dim, dim):
+    if (mat.shape if is_state else mat.shape[-2:]) != (dim, dim):
         raise ValueError(
             f"state of shape {mat.shape} does not match a {scenario.register_size}-qubit scenario"
         )

@@ -283,34 +283,37 @@ def sweep_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Swee
     return SweepConfig(draws, seed, classes, scenarios, rate)
 
 
+def format_from(raw: dict[str, str], override: Optional[str] = None) -> str:
+    """Table format of a command that takes --format."""
+    fmt = override or raw.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigValidationError("format", f"must be csv or json, got {fmt!r}")
+    return fmt
+
+
 @dataclass(frozen=True)
-class OutputOptions:
+class RunOptions:
     outputs: tuple[str, ...]
     fmt: str
     plots: bool
     log_y: bool
     convention: str
-    out_dir: Path
 
 
-def output_options_from(
+def run_options_from(
     raw: dict[str, str],
-    out_override: Optional[str] = None,
     fmt_override: Optional[str] = None,
     plots_override: bool = False,
     convention_override: Optional[str] = None,
-) -> OutputOptions:
+) -> RunOptions:
     outputs = _as_list(raw, "outputs", DEFAULT_OUTPUTS)
     for group in outputs:
         if group not in OUTPUT_GROUPS:
             raise ConfigValidationError("outputs", f"unknown output group {group!r}")
-    fmt = fmt_override or raw.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigValidationError("format", f"must be csv or json, got {fmt!r}")
+    fmt = format_from(raw, fmt_override)
     convention = convention_override or raw.get("convention", "both")
     if convention not in ("c", "c2", "both"):
         raise ConfigValidationError("convention", f"must be c, c2 or both, got {convention!r}")
     plots = plots_override or _as_bool(raw, "plots")
     log_y = _as_bool(raw, "plots.log_y")
-    out_dir = Path(out_override or raw.get("out", "out"))
-    return OutputOptions(outputs, fmt, plots, log_y, convention, out_dir)
+    return RunOptions(outputs, fmt, plots, log_y, convention)

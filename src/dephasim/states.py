@@ -4,9 +4,10 @@ Two-qubit classes live in the basis |1..4> = |++>, |+->, |-+>, |-->; the
 three-qubit classes in |1..8> = |000> .. |111> (A the leftmost factor in
 both).  One table below defines the seven classes: each class's coefficient
 slots, the basis indices they sit on and its register; ``STATE_TYPES``
-indexes it by name.  ``analytic_evolved`` reproduces the published
-elementwise decay factors directly and serves as an independent reference
-for the Kraus evolution in :mod:`dephasim.channels`.
+indexes it by name.  ``analytic_factors`` builds the published elementwise
+decay factors at many times at once and ``analytic_evolved`` the state at one,
+an independent reference for the Kraus evolution in :mod:`dephasim.channels`.
+``check_density`` validates one density matrix or a stack of them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,18 @@ from .linalg import QUBITS, partial_trace, subspace_index
 #: largest deviation of a density matrix's trace from 1 (and so of a pure
 #: state's sum |c|^2) that projector and DensityMatrix accept.
 NORMALIZATION_TOL = 1e-12
+
+
+def check_density(mat: np.ndarray) -> None:
+    """Raise ValueError unless every slice of a (..., d, d) stack is Hermitian, unit-trace, PSD."""
+    if abs(mat - mat.swapaxes(-1, -2).conj()).max() > 1e-12:
+        raise ValueError("matrix is not Hermitian within 1e-12")
+    trace = np.trace(mat, axis1=-2, axis2=-1)
+    bad = (abs(trace.real - 1.0) > NORMALIZATION_TOL) | (abs(trace.imag) > NORMALIZATION_TOL)
+    if bad.any():
+        raise ValueError(f"trace is {np.asarray(trace)[bad][0]:.15g}, expected 1")
+    if np.linalg.eigvalsh(mat).min() < -1e-10:
+        raise ValueError("matrix has an eigenvalue below -1e-10")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,17 +59,7 @@ class DensityMatrix:
         dim = 1 << len(self.register)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match register {self.register}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        trace = np.trace(mat)
-        if abs(trace.real - 1.0) > NORMALIZATION_TOL or abs(trace.imag) > NORMALIZATION_TOL:
-            raise ValueError(f"trace is {trace:.15g}, expected 1")
-        if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
-            raise ValueError("matrix has an eigenvalue below -1e-10")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        check_density(mat)
 
 
 class StateSpec:
@@ -186,27 +189,33 @@ def _channel_factor(kind: ChannelKind, register: tuple[str, ...], g: float) -> n
     raise UnsupportedScenarioError(f"no closed-form factors for channel {kind!r}")
 
 
-def analytic_evolved(spec: StateSpec, scenario: NoiseScenario, t: float) -> DensityMatrix:
-    """Evolved state from the published elementwise decay factors.
+def analytic_factors(scenario: NoiseScenario, register: tuple[str, ...], times) -> np.ndarray:
+    """(T, d, d) published elementwise decay factors of the scenario at each of `times`.
 
-    Each coherence (i, j) is multiplied by the product of its per-channel
-    decay factor at time t; populations are untouched.  Used purely as an
-    independent reference against the operator-sum evolution.
+    Coherence (i, j) at time t is multiplied by the product of its per-channel
+    factors at gamma(rate, t); populations are untouched.
     """
-    if len(spec.register) != scenario.register_size:
+    if len(register) != scenario.register_size:
         raise ValueError(
-            f"state register {spec.register} does not match a "
-            f"{scenario.register_size}-qubit scenario"
+            f"state register {register} does not match a {scenario.register_size}-qubit scenario"
         )
     if scenario.allow_overlap:
         raise UnsupportedScenarioError(
             "overlapping-support scenarios have no closed-form reference"
         )
-    rho0 = projector(spec)
-    factor = np.ones((rho0.dim, rho0.dim))
-    for kind, rate in scenario.channels:
-        factor *= _channel_factor(kind, spec.register, gamma(rate, t))
-    return DensityMatrix(rho0.matrix * factor, spec.register)
+    dim = 1 << len(register)
+    factors = np.ones((len(times), dim, dim))
+    # scalar gamma per time: np.exp over all times may differ in the last bit
+    for factor, t in zip(factors, times):
+        for kind, rate in scenario.channels:
+            factor *= _channel_factor(kind, register, gamma(rate, t))
+    return factors
+
+
+def analytic_evolved(spec: StateSpec, scenario: NoiseScenario, t: float) -> DensityMatrix:
+    """Closed-form state at time t, an independent reference for the operator-sum `evolve`."""
+    factor = analytic_factors(scenario, spec.register, [t])[0]
+    return DensityMatrix(projector(spec).matrix * factor, spec.register)
 
 
 def qubit_pairs(register: tuple[str, ...]) -> list[tuple[str, str]]:

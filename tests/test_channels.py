@@ -18,7 +18,7 @@ from dephasim.channels import (
     omega_factors,
     verify_completeness,
 )
-from dephasim.states import projector
+from dephasim.states import DensityMatrix, projector
 from dephasim.presets import draw_state, named_scenario
 
 
@@ -339,6 +339,31 @@ def test_evolve_identity_at_t_zero():
     scenario = named_scenario("3q-local-A-pair-BC", 1.0)
     rho = random_density(rng, 3)
     assert np.max(np.abs(evolve(rho, scenario, 0.0) - rho)) < 1e-15
+
+
+def test_evolve_of_a_stack_is_each_matrix_evolved_alone():
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 2.0, 5)
+    for _ in range(5):
+        scenario = random_scenario(rng)
+        stack = np.stack([random_density(rng, scenario.register_size) for _ in range(4)])
+        out = evolve(stack[:, None], scenario, times[:, None, None])
+        assert out.shape == (4, 5, *stack.shape[1:])
+        for rho, evolved in zip(stack, out):
+            assert np.array_equal(evolved, evolve(rho, scenario, times[:, None, None]))
+            for t, slice_ in zip(times, evolved):
+                assert np.array_equal(slice_, evolve(rho, scenario, t))
+
+
+def test_evolve_refuses_a_stacked_density_matrix():
+    scenario = named_scenario("2q-collective", 1.0)
+    rho = DensityMatrix(np.eye(4) / 4, ("A", "B"))
+    object.__setattr__(rho, "matrix", np.stack([rho.matrix, rho.matrix]))
+    with pytest.raises(ValueError, match=r"state of shape \(2, 4, 4\)"):
+        evolve(rho, scenario, 0.5)
+    times = np.array([0.5, 1.0])[:, None, None]
+    with pytest.raises(ValueError, match="does not match register"):
+        evolve(DensityMatrix(np.eye(4) / 4, ("A", "B")), scenario, times)
 
 
 def test_evolve_w_under_local_matches_decay_pattern():

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dephasim import svgplot
+from dephasim import cli, states, svgplot
 from dephasim.cli import _columns, _table, _trajectory_columns, main
 from dephasim.config import (
     ConfigParseError,
@@ -19,7 +19,8 @@ from dephasim.config import (
     state_from,
     sweep_from,
 )
-from dephasim.channels import PairCollective
+from dephasim.channels import PairCollective, TripleCollective
+from dephasim.presets import PAPER_MATRIX
 from dephasim.states import Fragile, WState
 from dephasim.svgplot import line_chart
 
@@ -522,6 +523,92 @@ def test_paper_tables_all_green(tmp_path, capsys):
     assert all(row["ok"] for row in payload["oracle_checks"])
     assert all(row["ok"] for row in payload["timescales"])
     assert (out / "paper_tables.csv").exists()
+
+
+#: the combination whose oracle check the fault tests break: W under triple collective
+FAULTY = PAPER_MATRIX.index(("w", "3q-collective"))
+
+
+def _paper_tables_with_a_fault(tmp_path, capsys):
+    out = tmp_path / "tables"
+    assert main(["paper-tables", "--out", str(out)]) == 1
+    payload = json.loads((out / "paper_tables.json").read_text())
+    assert [row["ok"] for row in payload["oracle_checks"]] == [
+        k != FAULTY for k in range(len(PAPER_MATRIX))
+    ]
+    mismatches = [f for f in payload["failures"] if f.startswith("oracle mismatch: ")]
+    assert len(mismatches) == 1 and mismatches[0].startswith("oracle mismatch: (w, 3q-collective, ")
+    assert mismatches[0] in capsys.readouterr().err
+
+
+def test_the_oracle_catches_a_fault_in_one_draw_of_the_evolution(tmp_path, capsys, monkeypatch):
+    evolve = cli.evolve
+    combination = iter(range(len(PAPER_MATRIX)))  # one evolve call per combination
+
+    def perturbed(rho0, scenario, t):
+        out = evolve(rho0, scenario, t)
+        if next(combination) == FAULTY:
+            out[3, :, 1, 2] += 1e-10  # every time slice of draw 3
+        return out
+
+    monkeypatch.setattr(cli, "evolve", perturbed)
+    _paper_tables_with_a_fault(tmp_path, capsys)
+
+
+def test_the_oracle_catches_a_fault_in_the_closed_form(tmp_path, capsys, monkeypatch):
+    channel_factor = states._channel_factor
+
+    def perturbed(kind, register, g):
+        factor = channel_factor(kind, register, g).copy()
+        if isinstance(kind, TripleCollective):
+            # a W coherence; GHZ, the other class under this channel, has none there
+            factor[1, 2] += 1e-10
+            factor[2, 1] += 1e-10
+        return factor
+
+    monkeypatch.setattr(states, "_channel_factor", perturbed)
+    _paper_tables_with_a_fault(tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("paper-tables", "outputs = elements, concurrence, eof, timescales, audit", "outputs = bogus"),
+        ("paper-tables", "format = csv", "convention = x"),
+        ("verify", "outputs = elements, concurrence, eof, timescales, audit", "outputs = bogus"),
+        ("verify", "format = csv", "convention = x"),
+        ("verify", "format = csv", "format = bogus"),
+    ],
+    ids=[
+        "paper-tables-outputs",
+        "paper-tables-convention",
+        "verify-outputs",
+        "verify-convention",
+        "verify-format",
+    ],
+)
+def test_a_command_ignores_output_keys_it_does_not_read(tmp_path, command, old, new):
+    conf = tmp_path / "c.conf"
+    conf.write_text(FRAGILE_CONF.replace(old, new))
+    assert main([command, "--config", str(conf), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("outputs = elements, concurrence, eof, timescales, audit", "outputs = bogus", "outputs"),
+        ("format = csv", "convention = x", "convention"),
+        ("format = csv", "format = bogus", "format"),
+    ],
+    ids=["outputs", "convention", "format"],
+)
+def test_run_still_validates_its_output_keys(tmp_path, capsys, old, new, key):
+    conf = tmp_path / "c.conf"
+    conf.write_text(FRAGILE_CONF.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 3
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_small_run(tmp_path, capsys):

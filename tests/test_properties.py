@@ -24,10 +24,19 @@ from dephasim.channels import (  # noqa: E402
     evolve,
 )
 from dephasim.cli import main  # noqa: E402
+from dephasim.linalg import frobenius_distance  # noqa: E402
 from dephasim.entanglement import concurrence  # noqa: E402
 from dephasim.montecarlo import ALPHA, TrajectoryConfig, compare_to_channel  # noqa: E402
 from dephasim.presets import draw_state  # noqa: E402
-from dephasim.states import STATE_TYPES, DensityMatrix, projector, reduced_stacks, slots  # noqa: E402
+from dephasim.states import (  # noqa: E402
+    STATE_TYPES,
+    DensityMatrix,
+    analytic_factors,
+    check_density,
+    projector,
+    reduced_stacks,
+    slots,
+)
 from dephasim.timescales import ZERO_FLOOR, audit_inequality, build_report  # noqa: E402
 
 
@@ -77,6 +86,33 @@ def test_exact_audit_never_fails(case):
         # a frozen pair's C0 and C_inf come from two eigensolves and may differ
         # in the last bits; the report treats a drop within the zero floor as none
         assert 0.0 <= row.limit <= row.amplitude + ZERO_FLOOR and row.amplitude <= 1.0, row
+
+
+@st.composite
+def coefficient_cases(draw):
+    """Any class with random normalised complex coefficients, a layout, rates in [0.1, 10], times."""
+    cls = STATE_TYPES[draw(st.sampled_from(sorted(STATE_TYPES)))]
+    parts = st.floats(-1.0, 1.0)
+    coefficients = np.array([complex(draw(parts), draw(parts)) for _ in slots(cls)])
+    norm = np.linalg.norm(coefficients)
+    hypothesis.assume(norm > 1e-3)
+    size = len(cls.register)
+    layout = draw(st.sampled_from(LAYOUTS[size]))
+    rates = [10.0 ** draw(st.floats(-1.0, 1.0)) for _ in layout]
+    times = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4))
+    return cls(*coefficients / norm), NoiseScenario(size, tuple(zip(layout, rates))), np.array(times)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(coefficient_cases())
+def test_closed_form_is_a_state_and_matches_evolve(case):
+    spec, scenario, times = case
+    rho0 = projector(spec).matrix
+    expected = rho0 * analytic_factors(scenario, spec.register, times)
+    check_density(expected)
+    got = evolve(rho0, scenario, times[:, None, None])
+    for t, want, have in zip(times, expected, got):
+        assert frobenius_distance(want, have) <= 1e-12, t
 
 
 KIND_NAMES = {Local: "local", PairCollective: "pair_collective", TripleCollective: "triple_collective"}

@@ -5,7 +5,7 @@ import pytest
 
 from dephasim.channels import Local, NoiseScenario, PairCollective, evolve, gamma
 from dephasim.errors import UnsupportedScenarioError
-from dephasim.linalg import frobenius_distance
+from dephasim.linalg import QUBITS, frobenius_distance
 from dephasim.presets import PAPER_MATRIX, draw_state, named_scenario
 from dephasim.states import (
     STATE_TYPES,
@@ -14,6 +14,8 @@ from dephasim.states import (
     GHZState,
     WState,
     analytic_evolved,
+    analytic_factors,
+    check_density,
     projector,
     reduced_all,
     slots,
@@ -112,6 +114,39 @@ def test_density_matrix_validation():
         DensityMatrix(bad, ("A",))  # not Hermitian
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]), ("A",))  # negative eigenvalue
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.eye(4), "trace is 4+0j, expected 1"),  # the dimension-mismatch matrix, on its own register
+        (np.diag([0.6, 0.6]), "trace is 1.2+0j, expected 1"),
+        (np.array([[0.5, 0.5], [-0.5, 0.5]]), "matrix is not Hermitian within 1e-12"),
+        (np.diag([1.5, -0.5]), "matrix has an eigenvalue below -1e-10"),
+    ],
+)
+def test_check_density_rejects_one_bad_slice_of_a_stack(bad, message):
+    dim = len(bad)
+    with pytest.raises(ValueError) as single:
+        DensityMatrix(bad, QUBITS[: dim.bit_length() - 1])
+    stack = np.stack([np.eye(dim) / dim, bad, np.eye(dim) / dim]).astype(complex)
+    with pytest.raises(ValueError) as stacked:
+        check_density(stack)
+    assert str(stacked.value) == str(single.value) == message
+    check_density(stack[[0, 2]])
+
+
+def test_analytic_factors_are_the_closed_form_at_every_oracle_time():
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 2.0, 5)
+    for cls, scen_name in PAPER_MATRIX:
+        scenario = named_scenario(scen_name, 1.0)
+        spec = draw_state(cls, rng)
+        factors = analytic_factors(scenario, spec.register, times)
+        assert factors.shape == (5, *projector(spec).matrix.shape)
+        for t, factor in zip(times, factors):
+            expected = analytic_evolved(spec, scenario, t).matrix
+            assert np.array_equal(projector(spec).matrix * factor, expected), (cls, scen_name, t)
 
 
 def test_analytic_fragile_collective_factors():
