@@ -271,8 +271,8 @@ def evolve(rho0, scenario: NoiseScenario, t):
     it, e.g. ``times[:, None, None]`` takes (N, 1, dim, dim) to (N, T, dim, dim).
     """
     times = np.asarray(t, dtype=float)
-    if np.any(times < 0):
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     dim = 1 << scenario.register_size
     is_state = hasattr(rho0, "matrix")
     mat = rho0.matrix if is_state else np.asarray(rho0)

@@ -142,11 +142,21 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _is_float_array(values) -> bool:
+    return isinstance(values, np.ndarray) and values.dtype.kind == "f"
+
+
 def _cells(values: Sequence) -> list[str]:
-    """One column's CSV cells; a float array is formatted in one pass, as `_cell` would."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return list(map(repr, values.tolist()))
-    return [_cell(value) for value in values]
+    """One column's CSV cells as `_cell` writes them; a float array in one pass.
+
+    A bitwise-constant float column (0.0 and -0.0 differ, NaN matches NaN) is formatted once.
+    """
+    if not _is_float_array(values):
+        return [_cell(value) for value in values]
+    bits = values.view(f"i{values.itemsize}")
+    if values.size and (bits == bits[0]).all():
+        return [repr(float(values[0]))] * values.size
+    return list(map(repr, values.tolist()))
 
 
 def _columns(header: Sequence[str], rows: Sequence[dict]) -> dict[str, list]:
@@ -155,14 +165,20 @@ def _columns(header: Sequence[str], rows: Sequence[dict]) -> dict[str, list]:
 
 
 def _table(fmt: str, columns: dict[str, Sequence], payload) -> str:
-    """`columns` as CSV, one column per key in order, or `payload` as JSON."""
+    """`columns` as CSV, one column per key in order, or `payload` as JSON.
+
+    Float-array rows are joined directly: a float repr needs no quoting.
+    """
     if fmt == "json":
         return _dump_json(payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(zip(*map(_cells, columns.values())))
-    return buf.getvalue()
+    rows = zip(*map(_cells, columns.values()))
+    if not all(map(_is_float_array, columns.values())):
+        writer.writerows(rows)
+        return buf.getvalue()
+    return "\n".join([buf.getvalue().removesuffix("\n"), *map(",".join, rows), ""])
 
 
 def _magnitudes(prefix: str, stack: np.ndarray) -> dict[str, np.ndarray]:
@@ -194,7 +210,7 @@ def _trajectory_columns(
             columns[f"C2_{label}"] = c * c
     if "eof" in outputs:
         for label, c in curves.items():
-            columns[f"Ef_{label}"] = np.array([entanglement_of_formation(x) for x in c])
+            columns[f"Ef_{label}"] = entanglement_of_formation(c)
     if "reduced" in outputs:
         for keep in reduced_subsets(register):
             label = "".join(keep)

@@ -74,15 +74,24 @@ def concurrence_curve(stack: np.ndarray) -> np.ndarray:
     return np.clip(value, 0.0, 1.0)
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+def _log2(values: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log2, values.tolist()), float, values.size)
 
 
-def entanglement_of_formation(c: float) -> float:
-    """Entanglement of formation h((1 + sqrt(1 - c^2)) / 2) for concurrence c."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"concurrence must lie in [0, 1], got {c}")
-    x = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))
-    return _binary_entropy(x)
+def entanglement_of_formation(c):
+    """Entanglement of formation h((1 + sqrt(1 - c^2)) / 2) of a concurrence or an array of them.
+
+    Wootters, PRL 80, 2245 (1998); h is the binary entropy.  A float gives a float
+    and an array an array of its shape, entry for entry the same bits: the arithmetic
+    is IEEE and the logarithms `math.log2`, not `np.log2`, which differs in the last bit.
+    """
+    arr = np.asarray(c, dtype=float)
+    inside = (0.0 <= arr) & (arr <= 1.0)
+    if not inside.all():
+        raise ValueError(f"concurrence must lie in [0, 1], got {float(arr[~inside].flat[0])}")
+    x = 0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - arr * arr)))
+    mixed = x < 1.0  # x >= 1/2 always, and h(1) = 0
+    p = x[mixed]
+    h = np.zeros_like(x)
+    h[mixed] = -p * _log2(p) - (1.0 - p) * _log2(1.0 - p)
+    return h if h.ndim else float(h)

@@ -28,7 +28,9 @@ NORMALIZATION_TOL = 1e-12
 
 
 def check_density(mat: np.ndarray) -> None:
-    """Raise ValueError unless every slice of a (..., d, d) stack is Hermitian, unit-trace, PSD."""
+    """Raise ValueError unless each (d, d) slice of a stack is finite, Hermitian, unit-trace, PSD."""
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has a non-finite entry")
     if abs(mat - mat.swapaxes(-1, -2).conj()).max() > 1e-12:
         raise ValueError("matrix is not Hermitian within 1e-12")
     trace = np.trace(mat, axis1=-2, axis2=-1)
@@ -233,12 +235,16 @@ def reduced_stacks(stack: np.ndarray, register: tuple[str, ...]) -> dict[str, np
     """`stack` reduced to every `reduced_subsets` entry and every qubit pair, keyed "A", "AB", ...
 
     Leading batch axes pass through; a pair that is the whole register is `stack` itself.
+    A single qubit is traced from its first pair (A, B from AB, C from AC): `partial_trace`
+    removes the highest position first, so that adds what a trace of `stack` adds, in order.
     """
-    keeps = dict.fromkeys(reduced_subsets(register) + qubit_pairs(register))
-    return {
-        "".join(keep): stack if keep == register else partial_trace(stack, keep, register)
-        for keep in keeps
+    pairs = {
+        pair: stack if pair == register else partial_trace(stack, pair, register)
+        for pair in qubit_pairs(register)
     }
+    first = {q: next(pair for pair in pairs if q in pair) for q in register}
+    singles = {q: partial_trace(pairs[pair], (q,), pair) for q, pair in first.items()}
+    return {**singles, **{"".join(pair): reduced for pair, reduced in pairs.items()}}
 
 
 def reduced_all(rho: DensityMatrix) -> dict[tuple[str, ...], DensityMatrix]:

@@ -48,7 +48,9 @@ def line_chart(
     """SVG document for labelled (x, y) series.
 
     In log mode, y values at or below zero are dropped from their series;
-    series with no positive values are skipped entirely.
+    series with no positive values are skipped entirely.  Each point is
+    written as f"{x:.6g},{y:.6g}" in pixels; the x text of a distinct x array
+    is formatted once and shared by every series drawn on it.
     """
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -127,13 +129,15 @@ def line_chart(
         f'transform="rotate(-90 18 {_MARGIN_TOP + plot_h // 2})">{y_label}</text>'
     )
 
+    x_text: dict[bytes, list[str]] = {}  # "x," of each distinct x array, shared by its series
     for i, (label, xs, ys) in enumerate(cleaned):
         color = _PALETTE[i % len(_PALETTE)]
         # math.log10 per point, not np.log10, which differs in the last bit on some values
         vs = np.fromiter(map(math.log10, ys.tolist()), float, ys.size) if log_y else ys
-        points = " ".join(
-            f"{x:.6g},{y:.6g}" for x, y in zip(x_px(xs).tolist(), y_px(vs).tolist())
-        )
+        key = xs.tobytes()
+        if key not in x_text:
+            x_text[key] = list(map("{:.6g},".format, x_px(xs).tolist()))
+        points = " ".join(map(str.__add__, x_text[key], map("{:.6g}".format, y_px(vs).tolist())))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -366,6 +366,15 @@ def test_evolve_refuses_a_stacked_density_matrix():
         evolve(DensityMatrix(np.eye(4) / 4, ("A", "B")), scenario, times)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf, -0.5, np.array([0.0, 1.0, math.inf])])
+def test_evolve_refuses_a_non_finite_or_negative_time(t):
+    scenario = named_scenario("3q-local-A", 1.0)
+    rho = projector(draw_state("w", np.random.default_rng(3)))
+    for state in (rho, rho.matrix, np.stack([rho.matrix] * 3)):
+        with pytest.raises(ValueError, match="^time must be finite and nonnegative, got"):
+            evolve(state, scenario, t)
+
+
 def test_evolve_w_under_local_matches_decay_pattern():
     rng = np.random.default_rng(7)
     spec = draw_state("w", rng)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import re
@@ -723,6 +724,44 @@ def test_row_tables_render_none_bool_and_inf_cells():
     assert _table("csv", _columns(header, []), []) == ",".join(header) + "\n"
 
 
+def _reference_csv(columns: dict) -> str:
+    """`columns` written cell by cell through `csv.writer` and `cli._cell`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*([cli._cell(v) for v in col] for col in columns.values())))
+    return buf.getvalue()
+
+
+def test_float_tables_are_the_csv_writer_rendering():
+    n = 7
+    ramp = np.linspace(0.0, 1.0, n)
+    columns = {
+        "t": ramp,
+        "zero": np.zeros(n),
+        "negative_zero": np.full(n, -0.0),
+        "zero_then_negative_zero": np.where(np.arange(n) % 2, -0.0, 0.0),
+        "negative_zero_first": np.r_[-0.0, np.zeros(n - 1)],
+        "constant": np.full(n, 0.1),
+        "constant_but_last": np.r_[np.full(n - 1, 0.1), np.nextafter(0.1, 1.0)],
+        "inf": np.full(n, math.inf),
+        "nan": np.full(n, math.nan),
+        "nan_and_values": np.where(ramp > 0.5, math.nan, ramp),
+        "tiny": np.full(n, 5e-324),
+    }
+    tables = [
+        columns,
+        {"only": ramp},
+        {"only": np.full(n, -0.0)},
+        {"a": np.zeros(0), "b": np.zeros(0)},
+    ]
+    for table in tables:
+        assert _table("csv", table, table) == _reference_csv(table)
+    rows = [line.split(",") for line in _table("csv", columns, columns).splitlines()[1:]]
+    assert [row[3] for row in rows] == ["0.0", "-0.0"] * 3 + ["0.0"]  # per cell where bits differ
+    assert _table("csv", {"a": np.zeros(0)}, None) == "a\n"
+
+
 def _reference_polylines(series, log_y: bool) -> list[str]:
     """`line_chart`'s polyline points, computed one data point at a time."""
     plot_w = svgplot._WIDTH - svgplot._MARGIN_LEFT - svgplot._MARGIN_RIGHT
@@ -757,7 +796,9 @@ def test_line_chart_polyline_matches_the_per_point_formula(log_y):
         ("negative", xs[:50], -rng.uniform(0.0, 1.0, 50)),
         ("zeros", xs, np.where(rng.random(400) < 0.5, 0.0, rng.uniform(0.0, 1e-3, 400))),
     ]
+    # series on an equal copy of xs, and on shifted xs, beside those on xs itself
+    series += [("spread-copy", xs.copy(), 2.0 * series[0][2]), ("shifted", xs + 0.5, series[1][2])]
     svg = line_chart(series, "title", "t", "y", log_y=log_y)
     polylines = re.findall(r'<polyline points="([^"]*)"', svg)
     assert polylines == _reference_polylines(series, log_y)
-    assert len(polylines) == (3 if log_y else 4)
+    assert len(polylines) == (5 if log_y else 6)

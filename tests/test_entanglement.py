@@ -194,3 +194,33 @@ def test_entanglement_of_formation_rejects_out_of_range():
         entanglement_of_formation(-0.1)
     with pytest.raises(ValueError):
         entanglement_of_formation(1.1)
+
+
+def _eof_per_value(c: float) -> float:
+    """Entanglement of formation of one concurrence in plain float arithmetic."""
+    x = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))
+    if x >= 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def test_entanglement_of_formation_of_an_array_is_the_scalar_formula_bit_for_bit():
+    edges = np.array([0.0, 5e-324, 1e-8, 0.5, 1.0 - 2.0**-53, 1.0])
+    uniform = np.random.default_rng(12).uniform(0.0, 1.0, 10_000)
+    for values in (edges, uniform, uniform.reshape(100, 100)):
+        got = entanglement_of_formation(values)
+        assert got.shape == values.shape
+        expected = [_eof_per_value(c) for c in values.ravel().tolist()]
+        assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in expected]
+    for c in edges.tolist():
+        got = entanglement_of_formation(c)
+        assert type(got) is float and got.hex() == _eof_per_value(c).hex()
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.1, -5e-324, 1.0 + 2.0**-52, math.nan, math.inf])
+def test_entanglement_of_formation_of_an_array_refuses_what_a_scalar_call_refuses(bad):
+    with pytest.raises(ValueError) as scalar:
+        entanglement_of_formation(bad)
+    with pytest.raises(ValueError) as array:
+        entanglement_of_formation(np.array([0.25, bad, 0.5]))
+    assert str(array.value) == str(scalar.value) == f"concurrence must lie in [0, 1], got {bad}"

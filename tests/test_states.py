@@ -5,7 +5,7 @@ import pytest
 
 from dephasim.channels import Local, NoiseScenario, PairCollective, evolve, gamma
 from dephasim.errors import UnsupportedScenarioError
-from dephasim.linalg import QUBITS, frobenius_distance
+from dephasim.linalg import QUBITS, frobenius_distance, partial_trace
 from dephasim.presets import PAPER_MATRIX, draw_state, named_scenario
 from dephasim.states import (
     STATE_TYPES,
@@ -18,6 +18,8 @@ from dephasim.states import (
     check_density,
     projector,
     reduced_all,
+    reduced_stacks,
+    reduced_subsets,
     slots,
 )
 
@@ -123,6 +125,8 @@ def test_density_matrix_validation():
         (np.diag([0.6, 0.6]), "trace is 1.2+0j, expected 1"),
         (np.array([[0.5, 0.5], [-0.5, 0.5]]), "matrix is not Hermitian within 1e-12"),
         (np.diag([1.5, -0.5]), "matrix has an eigenvalue below -1e-10"),
+        (np.array([[math.nan, 0.0], [0.0, 1.0]]), "matrix has a non-finite entry"),
+        (np.array([[0.5, math.inf], [math.inf, 0.5]]), "matrix has a non-finite entry"),
     ],
 )
 def test_check_density_rejects_one_bad_slice_of_a_stack(bad, message):
@@ -299,3 +303,18 @@ def test_reduced_all_subset_count():
     }
     pair = projector(draw_state("robust", RNG))
     assert set(reduced_all(pair)) == {("A",), ("B",)}
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3])
+def test_reduced_stacks_are_the_direct_partial_traces(n_qubits):
+    # singles come from a pair, not from the full stack: the same sums in the same order.
+    # Every entry is nonzero, so a trace that summed in another order would show.
+    register = QUBITS[:n_qubits]
+    shape = (5, 3, 1 << n_qubits, 1 << n_qubits)
+    stack = RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
+    reduced = reduced_stacks(stack, register)
+    keeps = list(dict.fromkeys(reduced_subsets(register) + [register[:2]]))
+    assert list(reduced) == ["".join(keep) for keep in keeps]
+    for keep in keeps:
+        direct = stack if keep == register else partial_trace(stack, keep, register)
+        assert np.array_equal(reduced["".join(keep)], direct)
