@@ -34,10 +34,10 @@ SCALE_RANGE = (1e-100, 1e100)
 
 def gamma(rate: float, t: float) -> float:
     """Coherence decay factor exp(-rate * t / 2); equals 1 when noise is off."""
-    if rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     return math.exp(-0.5 * rate * t)
 
 
@@ -227,13 +227,13 @@ def verify_completeness(ks: KrausSet) -> float:
 def apply_kraus(rho: np.ndarray, ks: KrausSet) -> np.ndarray:
     """Operator sum sum_k K rho K^dagger, elementwise: sum_k d_k[:, None] * rho * d_k[None, :].
 
-    Refuses sets whose completeness deviation exceeds COMPLETENESS_LIMIT.
+    Refuses sets whose completeness deviation exceeds COMPLETENESS_LIMIT or is NaN.
     """
     mat = np.asarray(rho)
     if mat.shape != (ks.dim, ks.dim):
         raise ValueError(f"state of shape {mat.shape} does not match operators of dim {ks.dim}")
     deviation = verify_completeness(ks)
-    if deviation > COMPLETENESS_LIMIT:
+    if not deviation <= COMPLETENESS_LIMIT:  # a NaN deviation is refused too
         raise ValueError(f"Kraus set violates completeness by {deviation:.3e}")
     out = np.zeros(mat.shape, dtype=complex)
     for d in ks.operators:

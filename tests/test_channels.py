@@ -18,7 +18,7 @@ from dephasim.channels import (
     omega_factors,
     verify_completeness,
 )
-from dephasim.states import DensityMatrix, projector
+from dephasim.states import DensityMatrix, analytic_factors, projector
 from dephasim.presets import draw_state, named_scenario
 
 
@@ -373,6 +373,40 @@ def test_evolve_refuses_a_non_finite_or_negative_time(t):
     for state in (rho, rho.matrix, np.stack([rho.matrix] * 3)):
         with pytest.raises(ValueError, match="^time must be finite and nonnegative, got"):
             evolve(state, scenario, t)
+
+
+@pytest.mark.parametrize(
+    "rate, t, name",
+    [
+        (1.0, math.nan, "time"),
+        (1.0, math.inf, "time"),
+        (1.0, -math.inf, "time"),
+        (math.nan, 1.0, "rate"),
+        (math.inf, 0.0, "rate"),
+    ],
+)
+def test_channel_factors_refuse_a_non_finite_time_or_rate(rate, t, name):
+    message = f"^{name} must be finite and nonnegative, got"
+    with pytest.raises(ValueError, match=message):
+        gamma(rate, t)
+    with pytest.raises(ValueError, match=message):
+        omega_factors(rate, t)
+    with pytest.raises(ValueError, match=message):
+        apply_kraus(np.eye(4) / 4, kraus_for(Local("A"), 2, rate, t))
+
+
+@pytest.mark.parametrize("times", [[math.nan], [0.0, math.inf]])
+def test_analytic_factors_refuse_a_non_finite_time(times):
+    scenario = NoiseScenario(2, ((Local("A"), 1.0),))
+    with pytest.raises(ValueError, match="^time must be finite and nonnegative, got"):
+        analytic_factors(scenario, ("A", "B"), times)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_apply_kraus_refuses_a_non_finite_kraus_set(bad):
+    ks = KrausSet(np.array([[1.0, 1.0, bad, 1.0], [0.0, 0.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="^Kraus set violates completeness by"):
+        apply_kraus(np.eye(4) / 4, ks)
 
 
 def test_evolve_w_under_local_matches_decay_pattern():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ import pytest
 from dephasim.channels import evolve, gamma
 from dephasim.entanglement import (
     SPIN_FLIP_MATRIX,
+    _sqrt_lambdas,
     concurrence,
     concurrence_curve,
     entanglement_of_formation,
 )
 from dephasim.linalg import partial_trace
 from dephasim.presets import draw_state, named_scenario
-from dephasim.states import GenericPure, projector
+from dephasim.states import GenericPure, projector, reduced_stacks
 
 RNG = np.random.default_rng(31)
 
@@ -158,11 +160,31 @@ def test_concurrence_rejects_non_psd():
     bad = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
     with pytest.raises(ValueError):
         concurrence(bad)
+    nan_diagonal = np.diag([0.5, math.nan, 0.25, 0.25]).astype(complex)
+    for x_state in (bad, nan_diagonal):
+        # X-shaped, so the closed form makes the check
+        for stack in (x_state, np.stack([np.eye(4) / 4, x_state])):
+            with pytest.raises(ValueError, match="^density matrix has eigenvalue"):
+                concurrence_curve(stack)
 
 
 def test_concurrence_rejects_wrong_shape():
     with pytest.raises(ValueError):
         concurrence(np.eye(8) / 8)
+    for shape in ((8, 8), (3, 8, 8), (2, 4, 3), (4,), ()):
+        message = rf"^concurrence_curve needs .* got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            concurrence_curve(np.zeros(shape))
+
+
+def _w_pair_stacks():
+    """Pair reductions of a seeded W state evolved under local(A) + pair(BC)."""
+    spec = draw_state("w", np.random.default_rng(14))
+    scenario = named_scenario("3q-local-A-pair-BC", 1.0)
+    times = np.linspace(0.0, 4.0, 200)[:, None, None]
+    stack = evolve(projector(spec).matrix, scenario, times)
+    reduced = reduced_stacks(stack, spec.register)
+    return [reduced[label] for label in ("AB", "AC", "BC")]
 
 
 def test_concurrence_curve_matches_scalar_calls():
@@ -170,10 +192,48 @@ def test_concurrence_curve_matches_scalar_calls():
     spec = draw_state("generic", rng)
     scenario = named_scenario("2q-collective", 1.0)
     times = np.linspace(0.0, 2.0, 16)
-    stack = np.stack([evolve(projector(spec).matrix, scenario, t) for t in times])
+    generic = np.stack([evolve(projector(spec).matrix, scenario, t) for t in times])
+    for stack in (generic, _w_pair_stacks()[0][::10]):
+        curve = concurrence_curve(stack)
+        singles = np.array([concurrence(stack[k]).value for k in range(len(stack))])
+        assert np.max(np.abs(curve - singles)) < 1e-12
+
+
+def test_w_pair_concurrence_is_twice_its_coherence_bit_for_bit():
+    # a W pair is an X-state with rho_14 = rho_44 = 0, so C = 2 |rho_23| exactly
+    for red in _w_pair_stacks():
+        assert np.array_equal(concurrence_curve(red), np.clip(2 * abs(red[:, 1, 2]), 0, 1))
+
+
+def _random_x_states(rng, count):
+    """Random X-shaped density matrices: PSD 2x2 blocks on {1, 4} and {2, 3} of rank 0 to 2."""
+    out = np.zeros((count, 4, 4), dtype=complex)
+    for rho in out:
+        ranks = rng.permutation([int(rng.integers(1, 3)), int(rng.integers(0, 3))])
+        for index, rank in zip(([0, 3], [1, 2]), ranks):
+            a = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
+            rho[np.ix_(index, index)] = a @ a.conj().T
+        rho /= np.trace(rho).real
+    return out
+
+
+def _solved(stack):
+    """Concurrence of a stack by the eigensolver path, whatever its shape."""
+    roots = _sqrt_lambdas(stack)
+    return np.clip(roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3], 0.0, 1.0)
+
+
+def test_concurrence_curve_of_x_states_matches_the_eigensolver():
+    stack = _random_x_states(np.random.default_rng(15), 400)
     curve = concurrence_curve(stack)
-    singles = np.array([concurrence(stack[k]).value for k in range(len(times))])
-    assert np.max(np.abs(curve - singles)) < 1e-12
+    assert 0 < np.count_nonzero(curve) < len(curve)
+    assert np.max(np.abs(curve - _solved(stack))) < 1e-13
+    assert np.max(np.abs(curve - [concurrence(rho).value for rho in stack])) < 1e-13
+    assert np.array_equal(concurrence_curve(stack.reshape(200, 2, 4, 4)), curve.reshape(200, 2))
+    # one matrix outside the X shape sends the whole stack to the eigensolver
+    mixed = stack.copy()
+    mixed[0] = 0.5 * (mixed[0] + np.full((4, 4), 0.25))
+    assert np.array_equal(concurrence_curve(mixed), _solved(mixed))
 
 
 def test_entanglement_of_formation_endpoints_and_value():
