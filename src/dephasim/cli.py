@@ -167,14 +167,26 @@ def _columns(header: Sequence[str], rows: Sequence[dict]) -> dict[str, list]:
 def _table(fmt: str, columns: dict[str, Sequence], payload) -> str:
     """`columns` as CSV, one column per key in order, or `payload` as JSON.
 
-    Float-array rows are joined directly: a float repr needs no quoting.
+    Each distinct float array is formatted once: a column bitwise equal to an
+    earlier one shares its cells.  Float-array rows are joined directly: a
+    float repr needs no quoting.
     """
     if fmt == "json":
         return _dump_json(payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    rows = zip(*map(_cells, columns.values()))
+    formatted: dict[tuple, list[str]] = {}
+
+    def cells(values) -> list[str]:
+        if not _is_float_array(values):
+            return _cells(values)
+        key = (values.dtype.str, values.tobytes())
+        if key not in formatted:
+            formatted[key] = _cells(values)
+        return formatted[key]
+
+    rows = zip(*map(cells, columns.values()))
     if not all(map(_is_float_array, columns.values())):
         writer.writerows(rows)
         return buf.getvalue()

@@ -1,13 +1,14 @@
 """Concurrence and entanglement of formation for two-qubit density matrices.
 
 ``concurrence`` solves Wootters' eigenvalue problem with one ``eigh`` and one
-SVD.  ``concurrence_curve`` does the same for a stack, except when every
-matrix of the stack is an X-state, zero outside the diagonal and the
-anti-diagonal; then it takes the closed form
+SVD.  ``concurrence_curve`` does the same for a stack, except for each matrix
+that is an X-state, zero outside the diagonal and the anti-diagonal; that one
+takes the closed form
 C = 2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44))
 (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)), exact up to one abs and
-one sqrt.  W and GHZ pair reductions are X-states, and every channel here is
-diagonal, so they stay X-states at every t.
+one sqrt.  The path is chosen per matrix, so a matrix's value does not
+depend on the stack it comes in.  W and GHZ pair reductions are X-states,
+and every channel here is diagonal, so they stay X-states at every t.
 """
 
 from __future__ import annotations
@@ -99,18 +100,26 @@ def _x_concurrence(mat: np.ndarray) -> np.ndarray:
 
 
 def concurrence_curve(stack: np.ndarray) -> np.ndarray:
-    """Concurrence of every matrix of a (..., 4, 4) stack; closed form when all are X-states."""
+    """Concurrence of every matrix of a (..., 4, 4) stack; the closed form for each X-state.
+
+    Each matrix takes its own path, so entry k is the concurrence of matrix k
+    alone, bit for bit, whatever else the stack holds.
+    """
     mat = _as_matrix(stack)
     if mat.shape[-2:] != (4, 4):
         raise ValueError(
             f"concurrence_curve needs a (..., 4, 4) stack of two-qubit matrices, "
             f"got shape {mat.shape}"
         )
-    if not mat[..., _OFF_X].any():
-        return _x_concurrence(mat)
-    roots = _sqrt_lambdas(mat)
-    value = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
-    return np.clip(value, 0.0, 1.0)
+    flat = mat.reshape(-1, 4, 4)
+    x_shaped = ~flat[:, _OFF_X].any(axis=-1)
+    out = np.empty(len(flat))
+    if x_shaped.any():
+        out[x_shaped] = _x_concurrence(flat[x_shaped])
+    if not x_shaped.all():
+        roots = _sqrt_lambdas(flat[~x_shaped])
+        out[~x_shaped] = np.clip(roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3], 0.0, 1.0)
+    return out.reshape(mat.shape[:-2])[()]  # [()] makes a single matrix's value a scalar
 
 
 def _log2(values: np.ndarray) -> np.ndarray:

@@ -4,16 +4,19 @@ Every coherence (i, j) decays as exp(-E_ij t), E being the scenario's
 exponent matrix, so its e-folding time is read from E.  The concurrence C of
 a pair falls toward the concurrence C_inf of rho0 masked to E_ij = 0; its
 time is the first t at which C - C_inf = (C0 - C_inf)/e, found on the exact
-evolution.  The audit checks, pair by pair, that entanglement never outlives
-the slowest decaying coherence at any scale.  ``fit_exponential`` is kept as
-an independent cross-check of the exact values on sampled curves.
+evolution.  ``build_report`` reduces the sampled evolution, rho0 * [E = 0]
+and rho0 * E in one pass, takes every pair's curve and limit in one
+concurrence call, and refines all of its crossings in one batched Illinois
+regula falsi.  The audit checks, pair by pair, that entanglement never
+outlives the slowest decaying coherence at any scale.  ``fit_exponential``
+is kept as an independent cross-check of the exact values on sampled curves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -208,73 +211,98 @@ class TimescaleReport:
     paper_taus: Optional[tuple[PaperTau, ...]]
 
 
+#: per matrix dimension: row and column indices of the upper off-diagonal
+#: elements, and their keys
+_UPPER = {
+    dim: (*np.triu_indices(dim, 1), [element_key(i, j) for i, j in zip(*np.triu_indices(dim, 1))])
+    for dim in (2, 4, 8)
+}
+
+
 def _coherence_taus(
     rho0: np.ndarray, exponents: np.ndarray, prefix: str = ""
 ) -> dict[str, Timescale]:
     """1 / E_ij and |rho0_ij| of every upper off-diagonal element."""
-    amplitude = np.abs(rho0)
-    live = (exponents > 0) & (amplitude > ZERO_FLOOR)
-    tau = np.divide(1.0, exponents, out=np.full(exponents.shape, math.inf), where=live)
+    rows, cols, keys = _UPPER[len(rho0)]
+    amplitude = np.abs(rho0[rows, cols])
+    rates = exponents[rows, cols]
+    live = (rates > 0) & (amplitude > ZERO_FLOOR)
+    tau = np.divide(1.0, rates, out=np.full(rates.shape, math.inf), where=live)
     return {
-        prefix + element_key(i, j): Timescale(float(tau[i, j]), float(amplitude[i, j]))
-        for i, j in zip(*np.triu_indices(len(rho0), 1))
+        prefix + key: Timescale(t, a) for key, t, a in zip(keys, tau.tolist(), amplitude.tolist())
     }
 
 
-def _crossing(value: Callable[[float], float], level: float, times, samples) -> float:
-    """First t at which value(t), sampled as `samples` over `times`, falls to `level`.
+def _crossings(rho0, exponents, register, pairs, levels, times, samples) -> np.ndarray:
+    """First t at which each pair's C on rho0 * exp(-t E) falls to its level.
 
-    The first sample at or below the level and the one before it bracket the
-    crossing; when no sample is, t doubles past the grid until value(t) is.
-    Illinois regula falsi on value(t) then refines the bracket; the result is
-    the evaluated t nearest the level.
+    Job k is pairs[k], levels[k] and samples[k], that pair's C over `times`.
+    Its first sample at or below the level and the one before it bracket the
+    crossing; when no sample is, t doubles past the grid until C(t) is.
+    Illinois regula falsi then refines every bracket together, one exact C
+    per unconverged job and step; each job's result is its evaluated t
+    nearest the level, the same bits as when it is refined alone.
     """
-    k = int(np.argmax(samples <= level))
-    if k:
-        (lo, hi), (f_lo, f_hi) = times[k - 1 : k + 1], samples[k - 1 : k + 1] - level
-    else:
-        lo, f_lo, hi = times[-1], samples[-1] - level, 2.0 * times[-1]
-        while (f_hi := value(hi) - level) > 0:
-            lo, f_lo, hi = hi, f_hi, 2.0 * hi
-    tol = CROSSING_TOL * (samples[0] - level)
-    best = min((abs(f_lo), lo), (abs(f_hi), hi))
-    side = 0
+    pairs, levels = list(pairs), np.asarray(levels, dtype=float)
+
+    def f(t, jobs):
+        """C - level of each of `jobs` at its t: one partial trace per pair, one C call."""
+        masked = rho0 * np.exp(-t[:, None, None] * exponents)
+        by_pair: dict[tuple[str, ...], list[int]] = {}
+        for k, job in enumerate(jobs.tolist()):
+            by_pair.setdefault(pairs[job], []).append(k)
+        reduced = [
+            masked[ks] if pair == register else partial_trace(masked[ks], pair, register)
+            for pair, ks in by_pair.items()
+        ]
+        c = np.empty(len(jobs))
+        c[[k for ks in by_pair.values() for k in ks]] = concurrence_curve(np.concatenate(reduced))
+        return c - levels[jobs]
+
+    f_samples = samples - levels[:, None]
+    first = np.argmax(f_samples <= 0, axis=1)  # 0 where no sample is at or below the level
+    rows = np.arange(len(levels))
+    lo, hi = times[first - 1], times[first]
+    f_lo, f_hi = f_samples[rows, first - 1], f_samples[rows, first]
+    doubling = np.flatnonzero(first == 0)  # their lo and f_lo are already the last sample
+    hi[doubling] = 2.0 * times[-1]
+    while doubling.size:
+        f_hi[doubling] = f(hi[doubling], doubling)
+        doubling = doubling[f_hi[doubling] > 0]
+        lo[doubling], f_lo[doubling] = hi[doubling], f_hi[doubling]
+        hi[doubling] *= 2.0
+
+    # brackets, best evaluated (|f|, t) and last kept side of the unconverged
+    # jobs `live`, compacted as jobs converge; `out` takes each job's best t
+    out = np.empty(len(levels))
+    live, tol = rows, CROSSING_TOL * f_samples[:, 0]
+    best_f, best_t = _nearer(np.abs(f_lo), lo, f_hi, hi)
+    side = np.zeros(len(levels))
     for _ in range(MAX_REFINE_STEPS):
         t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if best[0] <= tol or not lo < t < hi:
+        go = ~(best_f <= tol) & (lo < t) & (t < hi)
+        if not go.all():
+            out[live[~go]] = best_t[~go]
+            live, t, lo, hi, f_lo, f_hi = live[go], t[go], lo[go], hi[go], f_lo[go], f_hi[go]
+            tol, best_f, best_t, side = tol[go], best_f[go], best_t[go], side[go]
+        if not live.size:
             break
-        f = value(t) - level
-        best = min(best, (abs(f), t))
+        value = f(t, live)
+        best_f, best_t = _nearer(best_f, best_t, value, t)
         # Illinois: an end kept twice in a row has its value halved
-        if f > 0:
-            lo, f_lo, f_hi = t, f, f_hi / (2.0 if side == 1 else 1.0)
-            side = 1
-        else:
-            hi, f_hi, f_lo = t, f, f_lo / (2.0 if side == -1 else 1.0)
-            side = -1
-    return float(best[1])
+        rise = value > 0
+        f_lo = np.where(rise, value, np.where(side == -1, f_lo / 2.0, f_lo))
+        f_hi = np.where(rise, np.where(side == 1, f_hi / 2.0, f_hi), value)
+        lo, hi, side = np.where(rise, t, lo), np.where(rise, hi, t), np.where(rise, 1, -1)
+    out[live] = best_t
+    return out
 
 
-def _disentanglement(rho0, exponents, pair, register, times, samples) -> list[Timescale]:
-    """Timescales of a pair's C and C**2 toward their limits; `samples` is C over `times`.
-
-    The C**p tau is the first t at which C falls to the p-th root of
-    C_inf**p + (C0**p - C_inf**p) / e; inf if C0**p - C_inf**p is within the zero floor.
-    """
-
-    def masked_c(mask) -> float:
-        return float(concurrence_curve(partial_trace(rho0 * mask, pair, register)))
-
-    c_inf = masked_c(exponents == 0)
-    rows = []
-    for power in (1, 2):
-        start, limit = float(samples[0]) ** power, c_inf**power
-        tau = math.inf
-        if start - limit > ZERO_FLOOR:
-            level = (limit + (start - limit) / math.e) ** (1.0 / power)
-            tau = _crossing(lambda t: masked_c(np.exp(-t * exponents)), level, times, samples)
-        rows.append(Timescale(tau, start, limit))
-    return rows
+def _nearer(best_f, best_t, f, t):
+    """Elementwise the smaller of (best_f, best_t) and (|f|, t), compared as tuples."""
+    f = np.abs(f)
+    better = (f < best_f) | ((f == best_f) & (t < best_t))
+    return np.where(better, f, best_f), np.where(better, t, best_t)
 
 
 def sample_evolution(spec: StateSpec, scenario: NoiseScenario, grid: TimeGrid) -> np.ndarray:
@@ -301,26 +329,47 @@ def build_report(
     stack = sample_evolution(spec, scenario, grid)
     rho0 = stack[0]  # every grid starts at t = 0
     exponents = decay_exponents(scenario)
+    # one reduction pass: the samples, then rho0 masked to E = 0 (the t -> inf
+    # limit) and last rho0 * E, which is not a state
+    reduced = reduced_stacks(
+        np.concatenate([stack, [rho0 * (exponents == 0), rho0 * exponents]]), register
+    )
 
     reduced_taus: dict[str, Timescale] = {}
     for keep in reduced_subsets(register):
         # the nonzero terms of a reduced element share one exponent (a test
         # pins this), so reduced rho0 * E over reduced rho0 is that exponent
-        reduced = partial_trace(rho0, keep, register)
-        weighted = partial_trace(rho0 * exponents, keep, register)
-        live = np.abs(reduced) > ZERO_FLOOR
-        rates = np.divide(weighted, reduced, out=np.zeros_like(reduced), where=live).real
-        reduced_taus.update(_coherence_taus(reduced, rates, "".join(keep) + ":"))
+        label = "".join(keep)
+        red, weighted = reduced[label][0], reduced[label][-1]
+        live = np.abs(red) > ZERO_FLOOR
+        rates = np.divide(weighted, red, out=np.zeros_like(red), where=live).real
+        reduced_taus.update(_coherence_taus(red, rates, label + ":"))
 
-    reduced_stack = reduced_stacks(stack, register)
-    concurrence_taus: dict[str, Timescale] = {}
-    concurrence_sq_taus: dict[str, Timescale] = {}
-    for pair in qubit_pairs(register):
-        label = "".join(pair)
-        c = concurrence_curve(reduced_stack[label])
-        concurrence_taus[label], concurrence_sq_taus[label] = _disentanglement(
-            rho0, exponents, pair, register, grid.times, c
-        )
+    # the C**p tau is the first t at which C falls to the p-th root of
+    # C_inf**p + (C0**p - C_inf**p) / e; inf if C0**p - C_inf**p is within the zero floor
+    pairs = qubit_pairs(register)
+    labels = ["".join(pair) for pair in pairs]
+    curves = concurrence_curve(np.stack([reduced[label][:-1] for label in labels]))
+    ends = {
+        (p, power): (c0**power, c_inf**power)
+        for p, (c0, c_inf) in enumerate(zip(curves[:, 0].tolist(), curves[:, -1].tolist()))
+        for power in (1, 2)
+    }
+    levels = {
+        (p, power): (limit + (start - limit) / math.e) ** (1.0 / power)
+        for (p, power), (start, limit) in ends.items()
+        if start - limit > ZERO_FLOOR
+    }
+    which = [p for p, _ in levels]
+    crossed = _crossings(
+        rho0, exponents, register, [pairs[p] for p in which], list(levels.values()), grid.times,
+        curves[which, :-1],
+    )
+    taus = {**dict.fromkeys(ends, math.inf), **dict(zip(levels, crossed.tolist()))}
+    concurrence_taus, concurrence_sq_taus = (
+        {label: Timescale(taus[p, power], *ends[p, power]) for p, label in enumerate(labels)}
+        for power in (1, 2)
+    )
 
     try:
         paper = paper_tau_table(spec.name, scenario)

@@ -748,6 +748,11 @@ def test_float_tables_are_the_csv_writer_rendering():
         "nan": np.full(n, math.nan),
         "nan_and_values": np.where(ramp > 0.5, math.nan, ramp),
         "tiny": np.full(n, 5e-324),
+        # equal to earlier columns in bits, or only in value
+        "t_again": ramp.copy(),
+        "t_reversed_twice": ramp[::-1][::-1],
+        "zero_then_negative_zero_swapped": np.where(np.arange(n) % 2, 0.0, -0.0),
+        "nan_again": np.full(n, math.nan),
     }
     tables = [
         columns,
@@ -760,6 +765,28 @@ def test_float_tables_are_the_csv_writer_rendering():
     rows = [line.split(",") for line in _table("csv", columns, columns).splitlines()[1:]]
     assert [row[3] for row in rows] == ["0.0", "-0.0"] * 3 + ["0.0"]  # per cell where bits differ
     assert _table("csv", {"a": np.zeros(0)}, None) == "a\n"
+
+
+def test_a_table_formats_each_distinct_float_column_once(monkeypatch, tmp_path):
+    # the reduced columns repeat full-register ones bit for bit, e.g.
+    # abs_AB_rho_23 is abs_rho_35 and abs_AC_rho_23 is abs_rho_25 for a W state
+    outputs = ("elements", "concurrence", "eof", "reduced")
+    conf = _w_conf(tmp_path, f"grid.samples = 50\noutputs = {', '.join(outputs)}\n")
+    raw = load_config(conf)
+    scenario = scenario_from(raw)
+    columns = _trajectory_columns(state_from(raw), scenario, grid_from(raw, scenario), outputs)
+    assert np.array_equal(columns["abs_AB_rho_23"], columns["abs_rho_35"])
+    distinct = {col.tobytes() for col in columns.values()}
+    assert len(distinct) < len(columns)
+    formatted = []
+
+    def cells(values):
+        formatted.append(values.tobytes())
+        return [cli._cell(v) for v in values]
+
+    monkeypatch.setattr(cli, "_cells", cells)
+    assert _table("csv", columns, columns) == _reference_csv(columns)
+    assert sorted(formatted) == sorted(distinct)
 
 
 def _reference_polylines(series, log_y: bool) -> list[str]:

@@ -230,10 +230,37 @@ def test_concurrence_curve_of_x_states_matches_the_eigensolver():
     assert np.max(np.abs(curve - _solved(stack))) < 1e-13
     assert np.max(np.abs(curve - [concurrence(rho).value for rho in stack])) < 1e-13
     assert np.array_equal(concurrence_curve(stack.reshape(200, 2, 4, 4)), curve.reshape(200, 2))
-    # one matrix outside the X shape sends the whole stack to the eigensolver
+    # the path is chosen per matrix: one matrix outside the X shape takes the
+    # eigensolver and leaves every other entry's bits as they were
     mixed = stack.copy()
     mixed[0] = 0.5 * (mixed[0] + np.full((4, 4), 0.25))
-    assert np.array_equal(concurrence_curve(mixed), _solved(mixed))
+    got = concurrence_curve(mixed)
+    assert got[0] == _solved(mixed[:1])[0]
+    assert np.array_equal(got[1:], curve[1:])
+
+
+def test_concurrence_of_a_matrix_does_not_depend_on_its_stack():
+    # W pair matrices (X-shaped) shuffled with generic ones (not): every entry is
+    # the value of its matrix alone, bit for bit, and the X entries keep their bits
+    rng = np.random.default_rng(16)
+    w = np.concatenate(_w_pair_stacks())
+    rho0 = projector(draw_state("generic", rng)).matrix
+    times = np.linspace(0.0, 2.0, 50)[:, None, None]
+    generic = evolve(rho0, named_scenario("2q-collective", 1.0), times)
+    order = rng.permutation(len(w) + len(generic))
+    stack = np.concatenate([w, generic])[order]
+    curve = concurrence_curve(stack)
+    singles = [concurrence_curve(stack[k : k + 1])[0] for k in range(len(stack))]
+    assert np.array_equal(curve, singles)
+    assert np.array_equal(curve, [concurrence_curve(rho) for rho in stack])
+    assert np.array_equal(curve[np.argsort(order)][: len(w)], concurrence_curve(w))
+    assert np.array_equal(concurrence_curve(stack.reshape(10, -1, 4, 4)), curve.reshape(10, -1))
+
+
+def test_concurrence_curve_of_an_empty_stack_is_empty():
+    for shape in ((0, 4, 4), (3, 0, 4, 4)):
+        got = concurrence_curve(np.zeros(shape, dtype=complex))
+        assert isinstance(got, np.ndarray) and got.shape == shape[:-2]
 
 
 def test_entanglement_of_formation_endpoints_and_value():

@@ -2,6 +2,7 @@
 over random classes, layouts, rates and draws."""
 
 import contextlib
+import csv
 import io
 import math
 import tempfile
@@ -27,7 +28,7 @@ from dephasim.cli import main  # noqa: E402
 from dephasim.linalg import frobenius_distance  # noqa: E402
 from dephasim.entanglement import concurrence  # noqa: E402
 from dephasim.montecarlo import ALPHA, TrajectoryConfig, compare_to_channel  # noqa: E402
-from dephasim.presets import draw_state  # noqa: E402
+from dephasim.presets import SCENARIO_LAYOUTS, draw_state  # noqa: E402
 from dephasim.states import (  # noqa: E402
     STATE_TYPES,
     DensityMatrix,
@@ -214,6 +215,67 @@ def test_verify_writes_its_verdict_or_nothing(case):
             assert [path.name for path in out.iterdir()] == ["verify.json"]
             return
         assert not out.exists()
+
+
+#: what a drawn `sweep` config gets wrong, if anything: one key out of range or
+#: unknown, or a line without "="
+SWEEP_FAULTS = (None,) * 5 + ("class", "scenario", "draws", "seed", "rate", "line")
+
+
+@st.composite
+def sweep_configs(draw):
+    """A `sweep` config text, its fault, and the classes, scenarios and draws if it is valid."""
+    fault = draw(st.sampled_from(SWEEP_FAULTS))
+    classes = draw(st.lists(st.sampled_from(sorted(STATE_TYPES)), min_size=1, max_size=2))
+    scenarios = draw(st.lists(st.sampled_from(sorted(SCENARIO_LAYOUTS)), min_size=1, max_size=3))
+    draws = draw(st.integers(-1, 0) if fault == "draws" else st.integers(1, 3))
+    seed = draw(st.integers(-(2**32), -1) if fault == "seed" else st.integers(0, 2**32 - 1))
+    outside = scales.filter(lambda rate: not _in_range([rate]))
+    rate = draw(outside if fault == "rate" else st.floats(-100.0, 100.0).map(lambda x: 10.0**x))
+    if fault == "class":
+        classes.insert(draw(st.integers(0, len(classes))), "bell")
+    if fault == "scenario":
+        scenarios.insert(draw(st.integers(0, len(scenarios))), "4q-local")
+    lines = [
+        f"sweep.classes = {', '.join(classes)}",
+        f"sweep.scenarios = {', '.join(scenarios)}",
+        f"sweep.draws = {draws}",
+        f"sweep.seed = {seed}",
+        f"sweep.rate = {rate!r}",
+    ] + ["sweep.rate"] * (fault == "line")
+    valid = fault is None and _in_range([rate])
+    return "\n".join(lines) + "\n", fault, (classes, scenarios, draws) if valid else None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(sweep_configs())
+def test_sweep_writes_one_row_per_pair_verdict_or_nothing(case):
+    text, fault, expected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        conf, out = Path(tmp) / "c.conf", Path(tmp) / "out"
+        conf.write_text(text)
+        code = _cli("sweep", "--config", str(conf), "--out", str(out))
+        if expected is None:
+            assert code == (2 if fault == "line" else 3), text
+            assert not out.exists()
+            return
+        assert code in (0, 1), text
+        assert [path.name for path in out.iterdir()] == ["sweep.csv"]
+        with (out / "sweep.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+    classes, scenarios, draws = expected
+    keys = [
+        (cls, scen, str(k), "".join(pair))
+        for cls in classes
+        for scen in scenarios
+        if SCENARIO_LAYOUTS[scen][0] == len(STATE_TYPES[cls].register)
+        for k in range(draws)
+        for pair in combinations(STATE_TYPES[cls].register, 2)
+    ]
+    assert header[:4] == ["class", "scenario", "draw", "pair"]
+    assert [tuple(row[:4]) for row in rows] == keys, text
+    verdicts = {row[4] for row in rows}
+    assert verdicts <= {"PASS", "VACUOUS", "FAIL"} and ("FAIL" in verdicts) == (code == 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -30,10 +30,12 @@ from dephasim.states import (
     reduced_stacks,
     reduced_subsets,
 )
+from dephasim import timescales
 from dephasim.timescales import (
     ZERO_FLOOR,
     TimeGrid,
     Trajectory,
+    _crossings,
     audit_inequality,
     build_report,
     default_grid,
@@ -530,3 +532,55 @@ def test_a_crossing_on_a_grid_sample_is_that_sample():
             (pair,) = audit_inequality(build_report(draw_state("robust", rng), scenario)).pairs
             assert pair.verdict == "PASS"
             assert abs(pair.tau_dis - 2.0 / rate) <= 1e-12 * 2.0 / rate
+
+
+def _crossing_jobs(spec, scenario, grid):
+    """Every crossing a report refines, as (pair, level, sampled C), and the tau it reports."""
+    report = build_report(spec, scenario, grid)
+    reduced = reduced_stacks(sample_evolution(spec, scenario, grid), spec.register)
+    jobs = []
+    for power, rows in ((1, report.concurrence_taus), (2, report.concurrence_sq_taus)):
+        for label, row in rows.items():
+            if row.decays:
+                level = (row.limit + (row.amplitude - row.limit) / math.e) ** (1.0 / power)
+                jobs.append((tuple(label), level, concurrence_curve(reduced[label]), row.tau))
+    return jobs
+
+
+def test_refining_crossings_together_changes_no_bit(monkeypatch):
+    # every crossing of a report refined in one batch has the bits it has when
+    # refined alone, whether the jobs need different numbers of steps or the
+    # doubling past a short grid
+    rng = np.random.default_rng(16)
+    cases = list(PAPER_MATRIX) + [("generic", "2q-collective")] * 6
+    cases += [(cls, scen) for cls in ("w", "ghz") for scen in SCENARIO_LAYOUTS if scen[0] == "3"]
+    steps = []
+
+    def counted(stack):
+        steps.append(len(stack))
+        return concurrence_curve(stack)
+
+    monkeypatch.setattr(timescales, "concurrence_curve", counted)
+    uneven = doubled = 0
+    for cls, scen_name in cases:
+        scenario = named_scenario(scen_name, float(rng.uniform(0.3, 3.0)))
+        spec = draw_state(cls, rng)
+        for grid in (default_grid(scenario), TimeGrid(0.3, 8)):
+            jobs = _crossing_jobs(spec, scenario, grid)
+            if not jobs:
+                continue
+            pairs, levels, curves, taus = zip(*jobs)
+            rho0 = sample_evolution(spec, scenario, grid)[0]
+            args = (rho0, decay_exponents(scenario), spec.register)
+            together = _crossings(*args, pairs, levels, grid.times, np.stack(curves))
+            assert together.tolist() == list(taus), (cls, scen_name, grid)
+            counts = []
+            for k in range(len(jobs)):
+                steps.clear()
+                job = (pairs[k : k + 1], levels[k : k + 1], grid.times, curves[k][None])
+                alone = _crossings(*args, *job)
+                assert alone.tolist() == [taus[k]], (cls, scen_name, grid, pairs[k])
+                counts.append(len(steps))
+                doubled += not np.any(curves[k] <= levels[k])
+            uneven += len(set(counts)) > 1 and len(spec.register) == 3
+    assert uneven > 5 and doubled > 5
