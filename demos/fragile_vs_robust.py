@@ -36,7 +36,7 @@ for spec in (Fragile(s, 0.0, s), Robust(0.0, s, -s)):
 
 print("\nfragile timescales (rate 1):")
 report = build_report(Fragile(0.6, 0.5, np.sqrt(1 - 0.61)), scenario, grid)
-for key, row in report.element_taus.items():
+for key, row in report.coherence_taus["AB"].items():
     if row.decays:
         print(f"  {key}: tau = {row.tau:.3f}")
 dis = report.concurrence_taus["AB"]

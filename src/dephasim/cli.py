@@ -41,7 +41,7 @@ from .config import (
 from .channels import NoiseScenario, evolve
 from .entanglement import concurrence_curve, entanglement_of_formation
 from .errors import EquivalenceNotEstablishedError
-from .linalg import element_key, frobenius_distance
+from .linalg import UPPER, frobenius_distance
 from .montecarlo import ALPHA, ChannelComparison, compare_to_channel
 from .presets import PAPER_MATRIX, draw_state, named_scenario
 from .states import (
@@ -51,7 +51,6 @@ from .states import (
     check_density,
     projector,
     reduced_stacks,
-    reduced_subsets,
 )
 from .svgplot import line_chart
 from .timescales import (
@@ -119,12 +118,6 @@ def _jsonable(obj):
         if math.isinf(x):
             return "inf"
         return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, Path):
-        return str(obj)
     return obj
 
 
@@ -195,8 +188,8 @@ def _table(fmt: str, columns: dict[str, Sequence], payload) -> str:
 
 def _magnitudes(prefix: str, stack: np.ndarray) -> dict[str, np.ndarray]:
     """|rho_ij| over time of every upper off-diagonal element of a (T, d, d) stack."""
-    upper = zip(*np.triu_indices(stack.shape[-1], 1))
-    return {prefix + element_key(i, j): np.abs(stack[:, i, j]) for i, j in upper}
+    rows, cols, keys = UPPER[stack.shape[-1]]
+    return {prefix + key: np.abs(stack[:, i, j]) for i, j, key in zip(rows, cols, keys)}
 
 
 def _trajectory_columns(
@@ -224,9 +217,9 @@ def _trajectory_columns(
         for label, c in curves.items():
             columns[f"Ef_{label}"] = entanglement_of_formation(c)
     if "reduced" in outputs:
-        for keep in reduced_subsets(register):
-            label = "".join(keep)
-            columns.update(_magnitudes(f"abs_{label}_", reduced[label]))
+        for label, red in reduced.items():
+            if len(label) < len(register):
+                columns.update(_magnitudes(f"abs_{label}_", red))
     return columns
 
 
@@ -244,15 +237,21 @@ _AUDIT_HEADER = ["pair", "verdict", "tau_dis", "tau_bound", "margin"]
 
 
 def _timescale_rows(report: TimescaleReport, convention: str) -> list[dict]:
-    groups = [("element", report.element_taus), ("reduced", report.reduced_taus)]
+    # the full register's rows are "element" rows named "rho_12", a reduced
+    # matrix's are "reduced" rows named "A:rho_12"
+    full = "".join(report.register)
+    groups = [
+        ("element", "", taus) if label == full else ("reduced", f"{label}:", taus)
+        for label, taus in report.coherence_taus.items()
+    ]
     if convention in ("c", "both"):
-        groups.append(("concurrence", report.concurrence_taus))
+        groups.append(("concurrence", "", report.concurrence_taus))
     if convention in ("c2", "both"):
-        groups.append(("concurrence_sq", report.concurrence_sq_taus))
+        groups.append(("concurrence_sq", "", report.concurrence_sq_taus))
     blank = dict.fromkeys(_TIMESCALE_HEADER)  # JSON rows carry every column, in header order
     rows = [
-        {**blank, "kind": kind, "key": key, **asdict(row)}
-        for kind, taus in groups
+        {**blank, "kind": kind, "key": prefix + key, **asdict(row)}
+        for kind, prefix, taus in groups
         for key, row in taus.items()
     ]
     measured = measure_paper_taus(report)
@@ -305,7 +304,7 @@ def _state_and_scenario(raw: dict[str, str]) -> tuple[StateSpec, NoiseScenario]:
 
 
 def cmd_run(args, raw, out_dir: Path) -> int:
-    opts = run_options_from(raw, args.format, args.plots, args.convention)
+    opts = run_options_from(raw)
     spec, scenario = _state_and_scenario(raw)
     grid = grid_from(raw, scenario)
     fmt = opts.fmt
@@ -339,20 +338,18 @@ def cmd_run(args, raw, out_dir: Path) -> int:
 
 
 def _comparison_payload(cmp_: ChannelComparison) -> dict:
-    dim = cmp_.mc_mean.shape[0]
-    elements = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            elements.append(
-                {
-                    "element": element_key(i, j),
-                    "mc_re": cmp_.mc_mean[i, j].real,
-                    "mc_im": cmp_.mc_mean[i, j].imag,
-                    "channel_re": cmp_.channel_matrix[i, j].real,
-                    "channel_im": cmp_.channel_matrix[i, j].imag,
-                    "z": cmp_.z_scores[i, j],
-                }
-            )
+    rows, cols, keys = UPPER[cmp_.mc_mean.shape[0]]
+    elements = [
+        {
+            "element": key,
+            "mc_re": cmp_.mc_mean[i, j].real,
+            "mc_im": cmp_.mc_mean[i, j].imag,
+            "channel_re": cmp_.channel_matrix[i, j].real,
+            "channel_im": cmp_.channel_matrix[i, j].imag,
+            "z": cmp_.z_scores[i, j],
+        }
+        for i, j, key in zip(rows, cols, keys)
+    ]
     return {
         "state_class": cmp_.state_class,
         "scenario": cmp_.scenario_label,
@@ -373,7 +370,7 @@ def _comparison_payload(cmp_: ChannelComparison) -> dict:
 
 def cmd_verify(args, raw, out_dir: Path) -> int:
     spec, scenario = _state_and_scenario(raw)
-    cfg = mc_from(raw, args.seed)
+    cfg = mc_from(raw)
     if cfg is None:
         raise ConfigValidationError("mc.seed", "verify needs an mc.* section")
     cmp_ = compare_to_channel(spec, scenario, cfg, force_informational=args.force_informational)
@@ -412,7 +409,7 @@ _PAPER_HEADER = [
 
 
 def cmd_paper_tables(args, raw, out_dir: Path) -> int:
-    fmt = format_from(raw, args.format)
+    fmt = format_from(raw)
     rate = 1.0
     entries = []
     oracle_rows = []
@@ -500,8 +497,8 @@ _SWEEP_HEADER = ["class", "scenario", "draw", *_AUDIT_HEADER]
 
 
 def cmd_sweep(args, raw, out_dir: Path) -> int:
-    fmt = format_from(raw, args.format)
-    sweep = sweep_from(raw, args.seed)
+    fmt = format_from(raw)
+    sweep = sweep_from(raw)
     rng = np.random.default_rng(sweep.seed)
     rows = []
     for cls in sweep.classes:
@@ -567,6 +564,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = load_config(args.config) if args.config is not None else {}
+        # a flag given on the command line replaces the config key it names
+        flags = {
+            "format": getattr(args, "format", None),
+            "plots": "true" if getattr(args, "plots", False) else None,
+            "convention": getattr(args, "convention", None),
+            ("mc.seed" if args.command == "verify" else "sweep.seed"): getattr(args, "seed", None),
+        }
+        raw.update((key, str(value)) for key, value in flags.items() if value is not None)
         return args.handler(args, raw, Path(args.out or raw.get("out", "out")))
     except ConfigParseError as exc:
         print(f"config parse error: {exc}", file=sys.stderr)

@@ -184,6 +184,14 @@ def state_from(raw: dict[str, str]) -> StateSpec:
     return spec
 
 
+#: each channel kind by config name: its class and how many qubits it names
+_KINDS = {
+    "local": (Local, 1),
+    "pair_collective": (PairCollective, 2),
+    "triple_collective": (TripleCollective, 0),
+}
+
+
 def scenario_from(raw: dict[str, str]) -> NoiseScenario:
     register = _as_int(raw, "scenario.register")
     if register not in (2, 3):
@@ -198,22 +206,12 @@ def scenario_from(raw: dict[str, str]) -> NoiseScenario:
         )
         rate = _as_rate(raw, f"{prefix}.rate")
         try:
-            if kind_name == "local":
-                if len(qubits) != 1:
-                    raise ValueError(f"local channel needs one qubit, got {qubits}")
-                kind = Local(qubits[0])
-            elif kind_name == "pair_collective":
-                if len(qubits) != 2:
-                    raise ValueError(f"pair channel needs two qubits, got {qubits}")
-                kind = PairCollective(qubits[0], qubits[1])
-            elif kind_name == "triple_collective":
-                if qubits:
-                    raise ValueError("triple-collective channel takes no qubit list")
-                kind = TripleCollective()
-            else:
-                raise ValueError(
-                    f"unknown kind {kind_name!r} (local, pair_collective, triple_collective)"
-                )
+            if kind_name not in _KINDS:
+                raise ValueError(f"unknown kind {kind_name!r} ({', '.join(_KINDS)})")
+            cls, arity = _KINDS[kind_name]
+            if len(qubits) != arity:
+                raise ValueError(f"{kind_name} channel takes {arity} qubit(s), got {qubits}")
+            kind = cls(*qubits)
         except ValueError as exc:
             raise ConfigValidationError(f"{prefix}.kind", str(exc)) from None
         channels.append((kind, rate))
@@ -242,11 +240,11 @@ def grid_from(raw: dict[str, str], scenario: NoiseScenario) -> TimeGrid:
         raise _field_error(exc, {"t_max": "grid.t_max", "n_samples": "grid.samples"}) from None
 
 
-def mc_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Optional[TrajectoryConfig]:
-    if "mc.trajectories" not in raw and seed_override is None and "mc.seed" not in raw:
+def mc_from(raw: dict[str, str]) -> Optional[TrajectoryConfig]:
+    if "mc.trajectories" not in raw and "mc.seed" not in raw:
         return None
     n = _as_int(raw, "mc.trajectories", 10_000)
-    seed = seed_override if seed_override is not None else _as_int(raw, "mc.seed")
+    seed = _as_int(raw, "mc.seed")
     t_final = _as_float(raw, "mc.t", 1.0)
     try:
         return TrajectoryConfig(n_trajectories=n, seed=seed, t_final=t_final)
@@ -264,11 +262,11 @@ class SweepConfig:
     rate: float
 
 
-def sweep_from(raw: dict[str, str], seed_override: Optional[int] = None) -> SweepConfig:
+def sweep_from(raw: dict[str, str]) -> SweepConfig:
     draws = _as_int(raw, "sweep.draws", 100)
     if draws < 1:
         raise ConfigValidationError("sweep.draws", "must be at least 1")
-    seed = seed_override if seed_override is not None else _as_int(raw, "sweep.seed", 0)
+    seed = _as_int(raw, "sweep.seed", 0)
     if seed < 0:
         raise ConfigValidationError("sweep.seed", f"must be nonnegative, got {seed}")
     classes = _as_list(raw, "sweep.classes", ("fragile", "robust", "w", "ghz"))
@@ -283,9 +281,9 @@ def sweep_from(raw: dict[str, str], seed_override: Optional[int] = None) -> Swee
     return SweepConfig(draws, seed, classes, scenarios, rate)
 
 
-def format_from(raw: dict[str, str], override: Optional[str] = None) -> str:
+def format_from(raw: dict[str, str]) -> str:
     """Table format of a command that takes --format."""
-    fmt = override or raw.get("format", "csv")
+    fmt = raw.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigValidationError("format", f"must be csv or json, got {fmt!r}")
     return fmt
@@ -300,20 +298,15 @@ class RunOptions:
     convention: str
 
 
-def run_options_from(
-    raw: dict[str, str],
-    fmt_override: Optional[str] = None,
-    plots_override: bool = False,
-    convention_override: Optional[str] = None,
-) -> RunOptions:
+def run_options_from(raw: dict[str, str]) -> RunOptions:
     outputs = _as_list(raw, "outputs", DEFAULT_OUTPUTS)
     for group in outputs:
         if group not in OUTPUT_GROUPS:
             raise ConfigValidationError("outputs", f"unknown output group {group!r}")
-    fmt = format_from(raw, fmt_override)
-    convention = convention_override or raw.get("convention", "both")
+    fmt = format_from(raw)
+    convention = raw.get("convention", "both")
     if convention not in ("c", "c2", "both"):
         raise ConfigValidationError("convention", f"must be c, c2 or both, got {convention!r}")
-    plots = plots_override or _as_bool(raw, "plots")
+    plots = _as_bool(raw, "plots")
     log_y = _as_bool(raw, "plots.log_y")
     return RunOptions(outputs, fmt, plots, log_y, convention)

@@ -76,9 +76,14 @@ def partial_trace(
     return work.reshape(batch + (d, d))
 
 
-def element_key(i: int, j: int) -> str:
-    """Name of the density-matrix element (i, j), numbered from 1: ``rho_12`` for (0, 1)."""
-    return f"rho_{i + 1}{j + 1}"
+def _upper(dim: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    rows, cols = np.triu_indices(dim, 1)
+    return rows, cols, [f"rho_{i + 1}{j + 1}" for i, j in zip(rows.tolist(), cols.tolist())]
+
+
+#: per matrix dimension: row and column indices of the upper off-diagonal
+#: elements, row-major, and their names numbered from 1 (``rho_12`` for (0, 1))
+UPPER = {dim: _upper(dim) for dim in (2, 4, 8)}
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

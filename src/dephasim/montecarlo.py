@@ -23,7 +23,7 @@ import numpy as np
 
 from .channels import SCALE_RANGE, ChannelKind, NoiseScenario, decay_exponents, evolve
 from .errors import EquivalenceNotEstablishedError
-from .linalg import QUBITS, element_key, frobenius_distance, subspace_index
+from .linalg import QUBITS, UPPER, frobenius_distance, subspace_index
 from .states import StateSpec, projector
 
 #: family-wise false-alarm rate of compare_to_channel's verdict
@@ -95,9 +95,9 @@ def simulate_statistics(
     # coherence (i, j) turns by sum_f phase_f (h_fi - h_fj): summed per field,
     # a weak field's phase survives beside a strong one that cancels on (i, j),
     # where the difference of two per-state sums would round it away
-    upper = np.triu_indices(dim, 1)
-    gaps = charges[:, upper[0]] - charges[:, upper[1]]
-    coherences = mat[upper]
+    rows, cols, _ = UPPER[dim]
+    gaps = charges[:, rows] - charges[:, cols]
+    coherences = mat[rows, cols]
 
     rng = np.random.default_rng(cfg.seed)
     acc = np.zeros(coherences.shape, dtype=complex)
@@ -110,8 +110,8 @@ def simulate_statistics(
     # every trajectory carries the populations unchanged, so the average does too;
     # rho0 is Hermitian, and so is every trajectory's state and their mean
     mean = np.diag(np.diag(mat))
-    mean[upper] = acc / cfg.n_trajectories
-    mean[upper[::-1]] = mean[upper].conj()
+    mean[rows, cols] = acc / cfg.n_trajectories
+    mean[cols, rows] = mean[rows, cols].conj()
     return mean
 
 
@@ -188,16 +188,19 @@ def compare_to_channel(
     se = np.sqrt(var / n)
     live = se > SE_FLOOR
     z = np.where(live, dev / np.where(live, se, 1.0), np.where(dev > ROUNDOFF, np.inf, 0.0))
-    upper = np.triu(np.ones(exponents.shape, dtype=bool), 1)
+    rows, cols, keys = UPPER[len(rho0)]
+    upper_live = live[:, rows, cols]
 
     stochastic, channel = np.exp(-t * stochastic_exponents), np.exp(-t * exponents)
+    shown = (differs & (np.abs(rho0) > 1e-15))[rows, cols]
     divergence = tuple(
         {
-            "element": element_key(i, j),
+            "element": key,
             "stochastic_factor": float(stochastic[i, j]),
             "channel_factor": float(channel[i, j]),
         }
-        for i, j in zip(*np.nonzero(np.triu(differs & (np.abs(rho0) > 1e-15), 1)))
+        for i, j, key, show in zip(rows, cols, keys, shown)
+        if show
     )
     return ChannelComparison(
         state_class=spec.name,
@@ -207,10 +210,10 @@ def compare_to_channel(
         t_final=t,
         distance=frobenius_distance(mean, exact),
         # the mean squared distance counts each upper component twice
-        expected_distance=math.sqrt(2.0 * float(var[:, upper].sum()) / n),
+        expected_distance=math.sqrt(2.0 * float(var[:, rows, cols].sum()) / n),
         z_scores=z.max(axis=0),
         max_z=float(z.max()),
-        z_limit=NormalDist().inv_cdf(1.0 - ALPHA / (2 * max(np.count_nonzero(live & upper), 1))),
+        z_limit=NormalDist().inv_cdf(1.0 - ALPHA / (2 * max(np.count_nonzero(upper_live), 1))),
         informational=informational,
         mc_mean=mean,
         channel_matrix=exact,

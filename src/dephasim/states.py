@@ -220,36 +220,29 @@ def analytic_evolved(spec: StateSpec, scenario: NoiseScenario, t: float) -> Dens
     return DensityMatrix(projector(spec).matrix * factor, spec.register)
 
 
-def qubit_pairs(register: tuple[str, ...]) -> list[tuple[str, str]]:
-    """Every qubit pair of the register, in A < B < C order."""
-    return list(combinations(register, 2))
-
-
-def reduced_subsets(register: tuple[str, ...]) -> list[tuple[str, ...]]:
-    """Kept qubits of every one-qubit and, below the full register, two-qubit reduction."""
-    singles = [(q,) for q in register]
-    return singles + qubit_pairs(register) if len(register) == 3 else singles
-
-
 def reduced_stacks(stack: np.ndarray, register: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """`stack` reduced to every `reduced_subsets` entry and every qubit pair, keyed "A", "AB", ...
+    """Every matrix of the register, keyed by kept qubits: "AB" or "ABC", the singles, the pairs.
 
-    Leading batch axes pass through; a pair that is the whole register is `stack` itself.
-    A single qubit is traced from its first pair (A, B from AB, C from AC): `partial_trace`
-    removes the highest position first, so that adds what a trace of `stack` adds, in order.
+    The full register (`stack` itself) comes first, then each single qubit,
+    then, on three qubits, each pair in A < B < C order.  Leading batch axes
+    pass through.  A single qubit is traced from its first pair (A, B from AB,
+    C from AC): `partial_trace` removes the highest position first, so that
+    adds what a trace of `stack` adds, in order.
     """
     pairs = {
         pair: stack if pair == register else partial_trace(stack, pair, register)
-        for pair in qubit_pairs(register)
+        for pair in combinations(register, 2)
     }
     first = {q: next(pair for pair in pairs if q in pair) for q in register}
     singles = {q: partial_trace(pairs[pair], (q,), pair) for q, pair in first.items()}
-    return {**singles, **{"".join(pair): reduced for pair, reduced in pairs.items()}}
+    below = {"".join(pair): reduced for pair, reduced in pairs.items() if pair != register}
+    return {"".join(register): stack, **singles, **below}
 
 
 def reduced_all(rho: DensityMatrix) -> dict[tuple[str, ...], DensityMatrix]:
-    """Every one- and two-qubit reduced matrix of `rho`, keyed by kept qubits."""
+    """Every one- and two-qubit reduced matrix of `rho` below its register, keyed by kept qubits."""
     return {
-        keep: DensityMatrix(partial_trace(rho.matrix, keep, rho.register), keep)
-        for keep in reduced_subsets(rho.register)
+        tuple(label): DensityMatrix(mat, tuple(label))
+        for label, mat in reduced_stacks(rho.matrix, rho.register).items()
+        if len(label) < len(rho.register)
     }

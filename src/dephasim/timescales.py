@@ -23,9 +23,9 @@ import numpy as np
 from .channels import SCALE_RANGE, NoiseScenario, decay_exponents, evolve
 from .entanglement import concurrence_curve
 from .errors import UnsupportedScenarioError
-from .linalg import QUBITS, element_key, partial_trace
+from .linalg import UPPER, partial_trace
 from .presets import PAPER_TAUS, scenario_layout
-from .states import StateSpec, projector, qubit_pairs, reduced_stacks, reduced_subsets
+from .states import StateSpec, projector, reduced_stacks
 
 #: magnitudes at or below this are treated as exact zeros.
 ZERO_FLOOR = 1e-13
@@ -199,38 +199,31 @@ class Timescale:
 
 @dataclass(frozen=True)
 class TimescaleReport:
-    """Timescales of every coherence element and concurrence for one run."""
+    """Timescales of every coherence element and concurrence for one run.
+
+    `coherence_taus` holds every matrix of the register, keyed by kept qubits
+    as `states.reduced_stacks` orders them (the full register, the singles,
+    the pairs below it), each mapping its upper elements ("rho_12", ...) to
+    their timescales.  The concurrence maps are keyed by pair.
+    """
 
     state_class: str
     scenario_label: str
     register: tuple[str, ...]
-    element_taus: dict[str, Timescale]
-    reduced_taus: dict[str, Timescale]
+    coherence_taus: dict[str, dict[str, Timescale]]
     concurrence_taus: dict[str, Timescale]
     concurrence_sq_taus: dict[str, Timescale]
     paper_taus: Optional[tuple[PaperTau, ...]]
 
 
-#: per matrix dimension: row and column indices of the upper off-diagonal
-#: elements, and their keys
-_UPPER = {
-    dim: (*np.triu_indices(dim, 1), [element_key(i, j) for i, j in zip(*np.triu_indices(dim, 1))])
-    for dim in (2, 4, 8)
-}
-
-
-def _coherence_taus(
-    rho0: np.ndarray, exponents: np.ndarray, prefix: str = ""
-) -> dict[str, Timescale]:
+def _coherence_taus(rho0: np.ndarray, exponents: np.ndarray) -> dict[str, Timescale]:
     """1 / E_ij and |rho0_ij| of every upper off-diagonal element."""
-    rows, cols, keys = _UPPER[len(rho0)]
+    rows, cols, keys = UPPER[len(rho0)]
     amplitude = np.abs(rho0[rows, cols])
     rates = exponents[rows, cols]
     live = (rates > 0) & (amplitude > ZERO_FLOOR)
     tau = np.divide(1.0, rates, out=np.full(rates.shape, math.inf), where=live)
-    return {
-        prefix + key: Timescale(t, a) for key, t, a in zip(keys, tau.tolist(), amplitude.tolist())
-    }
+    return {key: Timescale(t, a) for key, t, a in zip(keys, tau.tolist(), amplitude.tolist())}
 
 
 def _crossings(rho0, exponents, register, pairs, levels, times, samples) -> np.ndarray:
@@ -335,20 +328,22 @@ def build_report(
         np.concatenate([stack, [rho0 * (exponents == 0), rho0 * exponents]]), register
     )
 
-    reduced_taus: dict[str, Timescale] = {}
-    for keep in reduced_subsets(register):
-        # the nonzero terms of a reduced element share one exponent (a test
-        # pins this), so reduced rho0 * E over reduced rho0 is that exponent
-        label = "".join(keep)
-        red, weighted = reduced[label][0], reduced[label][-1]
-        live = np.abs(red) > ZERO_FLOOR
-        rates = np.divide(weighted, red, out=np.zeros_like(red), where=live).real
-        reduced_taus.update(_coherence_taus(red, rates, label + ":"))
+    # the full register reads E itself: the ratio below is not bit-exact there
+    full = "".join(register)
+    coherence_taus = {full: _coherence_taus(rho0, exponents)}
+    for label, red in reduced.items():
+        if label != full:
+            # the nonzero terms of a reduced element share one exponent (a test
+            # pins this), so reduced rho0 * E over reduced rho0 is that exponent
+            start, weighted = red[0], red[-1]
+            live = np.abs(start) > ZERO_FLOOR
+            rates = np.divide(weighted, start, out=np.zeros_like(start), where=live).real
+            coherence_taus[label] = _coherence_taus(start, rates)
 
     # the C**p tau is the first t at which C falls to the p-th root of
     # C_inf**p + (C0**p - C_inf**p) / e; inf if C0**p - C_inf**p is within the zero floor
-    pairs = qubit_pairs(register)
-    labels = ["".join(pair) for pair in pairs]
+    labels = [label for label in reduced if len(label) == 2]
+    pairs = [tuple(label) for label in labels]
     curves = concurrence_curve(np.stack([reduced[label][:-1] for label in labels]))
     ends = {
         (p, power): (c0**power, c_inf**power)
@@ -380,15 +375,14 @@ def build_report(
         state_class=spec.name,
         scenario_label=scenario.label,
         register=register,
-        element_taus=_coherence_taus(rho0, exponents),
-        reduced_taus=reduced_taus,
+        coherence_taus=coherence_taus,
         concurrence_taus=concurrence_taus,
         concurrence_sq_taus=concurrence_sq_taus,
         paper_taus=paper,
     )
 
 
-#: the scale each published label is measured at, as qubits per coherence
+#: the scale each published label is measured at, as qubits per matrix
 #: ("dis": the concurrence in the entry's convention), and which of that
 #: scale's decaying taus it quotes.
 _PAPER_SCALES = {
@@ -401,21 +395,9 @@ _PAPER_SCALES = {
 }
 
 
-def _decaying_taus(report: TimescaleReport, size: int, qubits=QUBITS) -> list[float]:
-    """Taus of the decaying coherences of every `size`-qubit matrix on `qubits`.
-
-    `size` equal to the register is the full state; smaller sizes are the
-    reductions whose kept qubits all lie in `qubits`.
-    """
-    if size == len(report.register):
-        rows = report.element_taus.values()
-    else:
-        rows = [
-            row
-            for key, row in report.reduced_taus.items()
-            if len(kept := key.split(":")[0]) == size and set(kept) <= set(qubits)
-        ]
-    return [row.tau for row in rows if row.decays]
+def _decaying(taus: dict[str, Timescale]) -> list[float]:
+    """Taus of the rows that decay."""
+    return [row.tau for row in taus.values() if row.decays]
 
 
 def measure_paper_taus(report: TimescaleReport) -> dict[str, Optional[float]]:
@@ -425,10 +407,14 @@ def measure_paper_taus(report: TimescaleReport) -> dict[str, Optional[float]]:
         scale, pick = _PAPER_SCALES[entry.label]
         if scale == "dis":
             c = entry.convention == "C"
-            rows = (report.concurrence_taus if c else report.concurrence_sq_taus).values()
-            taus = [row.tau for row in rows if row.decays]
+            taus = _decaying(report.concurrence_taus if c else report.concurrence_sq_taus)
         else:
-            taus = _decaying_taus(report, scale)
+            taus = [
+                tau
+                for label, rows in report.coherence_taus.items()
+                if len(label) == scale
+                for tau in _decaying(rows)
+            ]
         out[entry.label] = pick(taus) if taus else None
     return out
 
@@ -470,13 +456,18 @@ def audit_inequality(report: TimescaleReport) -> AuditResult:
     bound is that scale's slowest element; the pair passes if tau_dis stays
     at or below every applicable bound.
     """
+    full = "".join(report.register)
     results = []
     for pair, dis in report.concurrence_taus.items():
         if not dis.decays:
             results.append(PairAudit(pair, "VACUOUS"))
             continue
-        scales = [_decaying_taus(report, size, pair) for size in range(len(report.register), 0, -1)]
-        bounds = [max(taus) for taus in scales if taus]
+        # the register and every matrix inside the pair, one scale per size
+        scales: dict[int, list[float]] = {}
+        for label, taus in report.coherence_taus.items():
+            if label == full or set(label) <= set(pair):
+                scales.setdefault(len(label), []).extend(_decaying(taus))
+        bounds = [max(taus) for taus in scales.values() if taus]
         if not bounds:
             results.append(PairAudit(pair, "VACUOUS"))
             continue

@@ -137,7 +137,7 @@ def test_criterion_06_fitted_timescales():
         dim = rho0.shape[0]
         for i in range(dim):
             for j in range(i + 1, dim):
-                row = report.element_taus[f"rho_{i + 1}{j + 1}"]
+                row = report.coherence_taus["".join(spec.register)][f"rho_{i + 1}{j + 1}"]
                 if not row.decays:
                     continue
                 predicted = -1.0 / math.log(abs(ref[i, j] / rho0[i, j]))

@@ -134,7 +134,7 @@ def test_mc_from_defaults_and_override():
     raw = parse_config_text(FRAGILE_CONF)
     cfg = mc_from(raw)
     assert cfg.n_trajectories == 1500 and cfg.seed == 31
-    assert mc_from(raw, seed_override=7).seed == 7
+    assert mc_from({**raw, "mc.seed": "7"}).seed == 7
     assert mc_from({}) is None
 
 

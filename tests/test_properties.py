@@ -80,7 +80,7 @@ def test_exact_audit_never_fails(case):
     spec, scenario = case
     report = build_report(spec, scenario)
     assert audit_inequality(report).overall != "FAIL"
-    for group in (report.element_taus, report.reduced_taus, report.concurrence_sq_taus):
+    for group in (*report.coherence_taus.values(), report.concurrence_sq_taus):
         assert all(row.tau >= 0 for row in group.values())
     for row in report.concurrence_taus.values():
         assert row.tau >= 0

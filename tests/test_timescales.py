@@ -14,7 +14,7 @@ from dephasim.channels import (
 )
 from dephasim.entanglement import concurrence, concurrence_curve
 from dephasim.errors import UnsupportedScenarioError
-from dephasim.linalg import subspace_index
+from dephasim.linalg import partial_trace, subspace_index
 from dephasim.presets import (
     PAPER_MATRIX,
     PAPER_TAUS,
@@ -28,7 +28,6 @@ from dephasim.states import (
     projector,
     reduced_all,
     reduced_stacks,
-    reduced_subsets,
 )
 from dephasim import timescales
 from dephasim.timescales import (
@@ -297,7 +296,7 @@ def test_report_element_taus_match_analytic_factors():
         dim = rho0.shape[0]
         for i in range(dim):
             for j in range(i + 1, dim):
-                row = report.element_taus[f"rho_{i + 1}{j + 1}"]
+                row = report.coherence_taus["".join(spec.register)][f"rho_{i + 1}{j + 1}"]
                 if not row.decays:
                     continue
                 factor = abs(ref[i, j] / rho0[i, j])
@@ -358,13 +357,13 @@ def test_audit_never_fails_across_paper_matrix():
 
 
 def _all_rows(report):
+    """(group, key, row) of every row: a matrix label, or the power 1 or 2 of C."""
     groups = (
-        report.element_taus,
-        report.reduced_taus,
-        report.concurrence_taus,
-        report.concurrence_sq_taus,
+        *report.coherence_taus.items(),
+        (1, report.concurrence_taus),
+        (2, report.concurrence_sq_taus),
     )
-    return [(group, key, row) for group in groups for key, row in group.items()]
+    return [(group, key, row) for group, rows in groups for key, row in rows.items()]
 
 
 def _upper(dim):
@@ -382,20 +381,14 @@ def test_fits_on_sampled_curves_cross_check_the_exact_taus():
         report = build_report(spec, scenario, grid)
         stack = sample_evolution(spec, scenario, grid)
         reduced = reduced_stacks(stack, spec.register)
-        curves = {key: np.abs(stack[:, i, j]) for key, (i, j) in _upper(len(stack[0]))}
-        for label, red in reduced.items():
-            if len(label) < len(spec.register):
-                upper = _upper(len(red[0]))
-                curves.update({f"{label}:{key}": np.abs(red[:, i, j]) for key, (i, j) in upper})
         for group, key, row in _all_rows(report):
             if not row.decays:
                 continue
-            if group is report.element_taus or group is report.reduced_taus:
-                values = curves[key]
+            if group in reduced:
+                i, j = dict(_upper(len(reduced[group][0])))[key]
+                values = np.abs(reduced[group][:, i, j])
             else:
-                c = concurrence_curve(reduced[key])
-                power = 1 if group is report.concurrence_taus else 2
-                values = c**power - row.limit
+                values = concurrence_curve(reduced[key]) ** group - row.limit
             fit = fit_exponential(Trajectory(grid.times, values))
             assert abs(fit.tau - row.tau) <= 1e-6 * row.tau, (cls, scen_name, key)
             checked += 1
@@ -490,7 +483,8 @@ def test_reduced_coherences_are_single_exponentials():
             rho0 = projector(spec).matrix
             report = build_report(spec, scenario)
             register = spec.register
-            for keep in reduced_subsets(register):
+            singles = [(q,) for q in register]
+            for keep in singles + (list(combinations(register, 2)) if size == 3 else []):
                 rest = tuple(q for q in register if q not in keep)
                 index = subspace_index(keep, register)
                 other = subspace_index(rest, register)
@@ -504,7 +498,7 @@ def test_reduced_coherences_are_single_exponentials():
                     if not terms:
                         continue
                     assert max(terms) - min(terms) <= 1e-12 * max(terms), (scenario.label, key)
-                    row = report.reduced_taus["".join(keep) + ":" + key]
+                    row = report.coherence_taus["".join(keep)][key]
                     if row.decays:
                         assert abs(row.tau * max(terms) - 1.0) <= 1e-12, (scenario.label, key)
                     checked += 1
@@ -584,3 +578,65 @@ def test_refining_crossings_together_changes_no_bit(monkeypatch):
                 doubled += not np.any(curves[k] <= levels[k])
             uneven += len(set(counts)) > 1 and len(spec.register) == 3
     assert uneven > 5 and doubled > 5
+
+
+def _slowest_live_tau(rho0, rho_t, t):
+    """Largest 1/rate over the upper elements live in rho0, each rate read from |rho0| and |rho_t|.
+
+    None if no live element decays.
+    """
+    rates = [
+        math.log(abs(rho0[i, j]) / abs(rho_t[i, j])) / t
+        for _, (i, j) in _upper(len(rho0))
+        if abs(rho0[i, j]) > ZERO_FLOOR
+    ]
+    decaying = [rate for rate in rates if rate > 1e-9]
+    return 1.0 / min(decaying) if decaying else None
+
+
+def _scale_cases():
+    """(spec, scenario, t): the paper matrix and generic/2q-collective at random rates, three
+    draws each, then every class under every set of one to three channel kinds at random rates."""
+    rng = np.random.default_rng(17)
+    for cls, scen_name in PAPER_MATRIX + (("generic", "2q-collective"),):
+        for _ in range(3):
+            rate = rng.uniform(0.3, 3.0)
+            yield draw_state(cls, rng), named_scenario(scen_name, rate), 0.5 / rate
+    for size, chosen in _kind_sets():
+        rates = rng.uniform(0.3, 3.0, size=len(chosen))
+        scenario = NoiseScenario(size, tuple(zip(chosen, rates)), allow_overlap=True)
+        for cls in STATE_TYPES.values():
+            if len(cls.register) == size:
+                yield draw_state(cls.name, rng), scenario, 0.5 / max(rates)
+
+
+def test_each_pair_is_bounded_by_the_slowest_coherence_of_each_of_its_scales():
+    # a pair's scales are the full register, its own reduction (on three
+    # qubits) and its two single spins together; each reduced exponent is read
+    # from the evolved matrices themselves, not from E or the report
+    below_register = 0
+    for spec, scenario, t in _scale_cases():
+        register = spec.register
+        rho0 = projector(spec).matrix
+        rho_t = evolve(rho0, scenario, t)
+
+        def slowest(keep):
+            return _slowest_live_tau(
+                partial_trace(rho0, keep, register), partial_trace(rho_t, keep, register), t
+            )
+
+        report = build_report(spec, scenario)
+        for pair in audit_inequality(report).pairs:
+            scales = [slowest(register)]
+            if len(register) == 3:
+                scales.append(slowest(tuple(pair.pair)))
+            singles = [tau for q in pair.pair if (tau := slowest((q,))) is not None]
+            scales.append(max(singles) if singles else None)
+            bounds = [tau for tau in scales if tau is not None]
+            case = (spec, scenario.label, pair.pair)
+            if not report.concurrence_taus[pair.pair].decays or not bounds:
+                assert (pair.verdict, pair.tau_bound) == ("VACUOUS", None), case
+                continue
+            assert abs(pair.tau_bound - min(bounds)) <= 1e-9 * min(bounds), case
+            below_register += min(bounds) < scales[0] * (1.0 - 1e-9)
+    assert below_register > 5
