@@ -14,7 +14,7 @@ from dephasim import (
     TimeGrid,
     audit_inequality,
     build_report,
-    concurrence,
+    concurrence_curve,
     evolve,
     named_scenario,
     projector,
@@ -29,8 +29,7 @@ print(f"scenario: {scenario.label}\n")
 
 curves = {}
 for spec in (Fragile(s, 0.0, s), Robust(0.0, s, -s)):
-    rho0 = projector(spec)
-    c = np.array([concurrence(evolve(rho0, scenario, t)).value for t in grid.times])
+    c = concurrence_curve(evolve(projector(spec).matrix, scenario, grid.times[:, None, None]))
     curves[spec.name] = c
     print(f"{spec.name:8s} C(0) = {c[0]:.4f}   C(1) = {c[21]:.4f}   C(3) = {c[-1]:.4f}")
 

@@ -8,7 +8,8 @@ entanglement is identically zero the whole time.
 
 import numpy as np
 
-from dephasim import GHZState, concurrence, evolve, gamma, named_scenario, projector, reduced_all
+from dephasim import GHZState, concurrence_curve, evolve, gamma, named_scenario, projector
+from dephasim.states import reduced_stacks
 
 s = 1 / np.sqrt(2)
 spec = GHZState(s, s)
@@ -32,7 +33,7 @@ for name, factor in expected.items():
 
 evolved = evolve(rho0, named_scenario("3q-multi-local", 1.0), t)
 print("\npairwise reductions at t=1 (all diagonal, zero concurrence):")
-for keep, dm in reduced_all(evolved).items():
-    if len(keep) == 2:
-        c = concurrence(dm).value
-        print(f"  {''.join(keep)}: diag {np.real(np.diag(dm.matrix)).round(4)}  C = {c:.1e}")
+for label, red in reduced_stacks(evolved.matrix, spec.register).items():
+    if len(label) == 2:
+        c = concurrence_curve(red)
+        print(f"  {label}: diag {np.real(np.diag(red)).round(4)}  C = {c:.1e}")

@@ -24,8 +24,6 @@ from .channels import (
     verify_completeness,
 )
 from .entanglement import (
-    ConcurrenceResult,
-    concurrence,
     concurrence_curve,
     entanglement_of_formation,
 )
@@ -33,7 +31,6 @@ from .errors import EquivalenceNotEstablishedError, UnsupportedScenarioError
 from .linalg import (
     QUBITS,
     frobenius_distance,
-    kron,
     partial_trace,
 )
 from .montecarlo import (
@@ -61,7 +58,6 @@ from .states import (
     WState,
     analytic_evolved,
     projector,
-    reduced_all,
 )
 from .timescales import (
     AuditResult,

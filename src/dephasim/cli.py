@@ -231,7 +231,7 @@ _TIMESCALE_HEADER = [
     "limit",
     "printed_tau",
     "convention",
-    "fitted_equiv",
+    "implied",
 ]
 _AUDIT_HEADER = ["pair", "verdict", "tau_dis", "tau_bound", "margin"]
 
@@ -263,7 +263,7 @@ def _timescale_rows(report: TimescaleReport, convention: str) -> list[dict]:
             "tau": measured.get(entry.label),
             "printed_tau": entry.printed,
             "convention": entry.convention,
-            "fitted_equiv": entry.fitted_equiv,
+            "implied": entry.implied,
         }
         for entry in report.paper_taus or ()
     ]
@@ -404,7 +404,7 @@ def _oracle_check(cls: str, scenario: NoiseScenario, seed: int) -> float:
 
 
 _PAPER_HEADER = [
-    "class", "scenario", "label", "printed_tau", "convention", "fitted_equiv", "fitted", "ok"
+    "class", "scenario", "label", "printed_tau", "convention", "implied", "measured", "ok"
 ]
 
 
@@ -430,7 +430,7 @@ def cmd_paper_tables(args, raw, out_dir: Path) -> int:
         measured = measure_paper_taus(report)
         for entry in report.paper_taus or ():
             got = measured.get(entry.label)
-            want = entry.fitted_equiv
+            want = entry.implied
             ok = got is not None and abs(got - want) <= ORACLE_TOL * want
             entries.append(
                 {
@@ -439,8 +439,8 @@ def cmd_paper_tables(args, raw, out_dir: Path) -> int:
                     "label": entry.label,
                     "printed_tau": entry.printed,
                     "convention": entry.convention,
-                    "fitted_equiv": entry.fitted_equiv,
-                    "fitted": got,
+                    "implied": entry.implied,
+                    "measured": got,
                     "ok": ok,
                 }
             )
@@ -472,12 +472,12 @@ def cmd_paper_tables(args, raw, out_dir: Path) -> int:
         files["paper_tables.csv"] = _table("csv", _columns(_PAPER_HEADER, entries), entries)
 
     for e in entries:
-        fitted = "n/a" if e["fitted"] is None else f"{e['fitted']:.6g}"
+        shown = "n/a" if e["measured"] is None else f"{e['measured']:.6g}"
         mark = "ok" if e["ok"] else "MISMATCH"
         print(
             f"{e['class']:8s} {e['scenario']:20s} {e['label']:10s} "
             f"printed={e['printed_tau']:.6g} ({e['convention']}) "
-            f"factor-implied={e['fitted_equiv']:.6g} fitted={fitted} [{mark}]"
+            f"implied={e['implied']:.6g} measured={shown} [{mark}]"
         )
     verdicts = [row["verdict"] for row in audit_rows]
     print(

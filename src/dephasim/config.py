@@ -75,9 +75,11 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config(path: str | Path) -> dict[str, str]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"config {path} is not UTF-8 text: {exc}") from None
     raw = parse_config_text(text)
     for key in raw:
         if not _KEY_RE.match(key):
@@ -277,6 +279,11 @@ def sweep_from(raw: dict[str, str]) -> SweepConfig:
     for name in scenarios:
         if name not in SCENARIO_LAYOUTS:
             raise ConfigValidationError("sweep.scenarios", f"unknown scenario {name!r}")
+    sizes = {len(STATE_TYPES[cls].register) for cls in classes}
+    if not any(SCENARIO_LAYOUTS[name][0] in sizes for name in scenarios):
+        raise ConfigValidationError(
+            "sweep.scenarios", "no scenario matches the register size of a class in sweep.classes"
+        )
     rate = _as_rate(raw, "sweep.rate", 1.0)
     return SweepConfig(draws, seed, classes, scenarios, rate)
 

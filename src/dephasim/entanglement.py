@@ -1,9 +1,9 @@
 """Concurrence and entanglement of formation for two-qubit density matrices.
 
-``concurrence`` solves Wootters' eigenvalue problem with one ``eigh`` and one
-SVD.  ``concurrence_curve`` does the same for a stack, except for each matrix
-that is an X-state, zero outside the diagonal and the anti-diagonal; that one
-takes the closed form
+``concurrence_curve`` takes one 4x4 matrix or a stack of them.  It solves
+Wootters' eigenvalue problem with one ``eigh`` and one SVD, except for each
+matrix that is an X-state, zero outside the diagonal and the anti-diagonal;
+that one takes the closed form
 C = 2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44))
 (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)), exact up to one abs and
 one sqrt.  The path is chosen per matrix, so a matrix's value does not
@@ -14,14 +14,13 @@ and every channel here is diagonal, so they stay X-states at every t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_Y, kron
+from .linalg import PAULI_Y
 
 #: sigma_y tensor sigma_y; real anti-diagonal (-1, 1, 1, -1).
-SPIN_FLIP_MATRIX = kron(PAULI_Y, PAULI_Y).real
+SPIN_FLIP_MATRIX = np.kron(PAULI_Y, PAULI_Y).real
 
 #: eigenvalues this far below zero are treated as roundoff and clamped.
 EIG_CLAMP = 1e-10
@@ -31,14 +30,6 @@ RANK_FLOOR = 1e-14
 
 #: entries of a 4x4 matrix outside its diagonal and anti-diagonal.
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
-
-
-@dataclass(frozen=True)
-class ConcurrenceResult:
-    """Concurrence value together with the four Wootters eigenvalues (descending)."""
-
-    value: float
-    lambdas: tuple[float, float, float, float]
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -71,16 +62,6 @@ def _sqrt_lambdas(rho) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def concurrence(rho) -> ConcurrenceResult:
-    """Wootters concurrence of a two-qubit density matrix."""
-    mat = _as_matrix(rho)
-    if mat.shape != (4, 4):
-        raise ValueError(f"concurrence needs a 4x4 two-qubit matrix, got shape {mat.shape}")
-    roots = _sqrt_lambdas(mat)
-    value = max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
-    return ConcurrenceResult(min(value, 1.0), tuple(float(x * x) for x in roots))
-
-
 def _x_concurrence(mat: np.ndarray) -> np.ndarray:
     """Closed-form concurrence of a (..., 4, 4) stack of X-states.
 
@@ -102,8 +83,9 @@ def _x_concurrence(mat: np.ndarray) -> np.ndarray:
 def concurrence_curve(stack: np.ndarray) -> np.ndarray:
     """Concurrence of every matrix of a (..., 4, 4) stack; the closed form for each X-state.
 
-    Each matrix takes its own path, so entry k is the concurrence of matrix k
-    alone, bit for bit, whatever else the stack holds.
+    One 4x4 matrix, as an array or a ``DensityMatrix``, gives a scalar.  Each
+    matrix takes its own path, so entry k is the concurrence of matrix k alone,
+    bit for bit, whatever else the stack holds.
     """
     mat = _as_matrix(stack)
     if mat.shape[-2:] != (4, 4):

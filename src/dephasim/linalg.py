@@ -16,11 +16,6 @@ QUBITS = ("A", "B", "C")
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, leftmost factor most significant."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def subspace_index(support: Sequence[str], register: Sequence[str]) -> np.ndarray:
     """Index of every basis state of `register` within the subspace of `support`.
 

@@ -237,12 +237,3 @@ def reduced_stacks(stack: np.ndarray, register: tuple[str, ...]) -> dict[str, np
     singles = {q: partial_trace(pairs[pair], (q,), pair) for q, pair in first.items()}
     below = {"".join(pair): reduced for pair, reduced in pairs.items() if pair != register}
     return {"".join(register): stack, **singles, **below}
-
-
-def reduced_all(rho: DensityMatrix) -> dict[tuple[str, ...], DensityMatrix]:
-    """Every one- and two-qubit reduced matrix of `rho` below its register, keyed by kept qubits."""
-    return {
-        tuple(label): DensityMatrix(mat, tuple(label))
-        for label, mat in reduced_stacks(rho.matrix, rho.register).items()
-        if len(label) < len(rho.register)
-    }

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -64,9 +65,12 @@ class TimeGrid:
         if self.n_samples > MAX_SAMPLES:
             raise ValueError(f"n_samples must be at most {MAX_SAMPLES}, got {self.n_samples}")
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n_samples)
+        """The sample times, built on first read and shared read-only after."""
+        times = np.linspace(0.0, self.t_max, self.n_samples)
+        times.flags.writeable = False
+        return times
 
 
 def default_grid(scenario: NoiseScenario) -> TimeGrid:
@@ -146,7 +150,7 @@ def fit_exponential(traj: Trajectory) -> FitResult:
 class PaperTau:
     """One published timescale with the e-folding time its decay factors imply.
 
-    `printed` is the transcribed value; `fitted_equiv` is the e-folding time
+    `printed` is the transcribed value; `implied` is the e-folding time
     of the corresponding decay factor (the two differ where the source quotes
     an additive composition of rates, and for the single-qubit entries).
     `convention` states which measured quantity reproduces the value:
@@ -156,7 +160,7 @@ class PaperTau:
     label: str
     printed: float
     convention: str
-    fitted_equiv: float
+    implied: float
 
 
 def paper_tau_table(state_class: str, scenario: NoiseScenario) -> tuple[PaperTau, ...]:

@@ -20,11 +20,19 @@ from dephasim.channels import (
     verify_completeness,
 )
 from dephasim.cli import main
-from dephasim.entanglement import concurrence, concurrence_curve
+from dephasim.entanglement import concurrence_curve
 from dephasim.linalg import frobenius_distance
 from dephasim.montecarlo import TrajectoryConfig, compare_to_channel, simulate_statistics
 from dephasim.presets import PAPER_MATRIX, draw_state, named_scenario
-from dephasim.states import Fragile, GenericPure, Robust, analytic_evolved, projector, reduced_all
+from dephasim.states import (
+    Fragile,
+    GenericPure,
+    Robust,
+    analytic_evolved,
+    check_density,
+    projector,
+    reduced_stacks,
+)
 from dephasim.timescales import (
     TimeGrid,
     audit_inequality,
@@ -54,7 +62,7 @@ def test_criterion_01_fragile_collective_concurrence():
     rho0 = projector(spec)
     worst = 0.0
     for t in (0.0, 0.25, 0.5, 1.0):
-        c = concurrence(evolve(rho0, scenario, t)).value
+        c = concurrence_curve(evolve(rho0, scenario, t))
         worst = max(worst, abs(c - math.exp(-2.0 * t)))
     elapsed = time.perf_counter() - start
     _report(1, f"fragile C(t)=e^-2t, worst dev {worst:.2e}, {elapsed:.2f}s", worst <= 1e-10 and elapsed < 1.0)
@@ -94,11 +102,14 @@ def test_criterion_04_ghz_no_pairwise_entanglement():
         scenario = named_scenario(name, 1.0)
         for t in np.linspace(0.0, 3.0, 16):
             evolved = evolve(rho0, scenario, t)
-            for keep, dm in reduced_all(evolved).items():
-                off = dm.matrix - np.diag(np.diag(dm.matrix))
+            for keep, red in reduced_stacks(evolved.matrix, spec.register).items():
+                if len(keep) == len(spec.register):
+                    continue
+                check_density(red)
+                off = red - np.diag(np.diag(red))
                 worst_offdiag = max(worst_offdiag, float(np.max(np.abs(off))))
                 if len(keep) == 2:
-                    worst_c = max(worst_c, concurrence(dm).value)
+                    worst_c = max(worst_c, concurrence_curve(red))
     ok = worst_c <= 1e-12 and worst_offdiag <= 1e-12
     _report(4, f"GHZ pairwise C {worst_c:.2e}, reductions diagonal {worst_offdiag:.2e}", ok)
 

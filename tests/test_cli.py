@@ -413,6 +413,18 @@ def test_run_parse_failure_exit_code(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.conf")]) == 2
 
 
+def test_non_utf8_config_is_a_parse_error(fragile_conf, tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"state.class = w\xff\n")
+    with pytest.raises(ConfigParseError, match="is not UTF-8 text"):
+        load_config(conf)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config parse error: ") and "not UTF-8" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_register_mismatch_is_validation_error(tmp_path, capsys, command):
     conf = tmp_path / "m.conf"
@@ -623,6 +635,18 @@ def test_sweep_small_run(tmp_path, capsys):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "class,scenario,draw,pair,verdict,tau_dis,tau_bound,margin"
     assert "0 FAIL" in capsys.readouterr().out
+    # the classes and scenarios on different registers are skipped, not refused
+    pairs = {tuple(line.split(",")[:2]) for line in lines[1:]}
+    assert pairs == {("fragile", "2q-collective"), ("ghz", "3q-collective")}
+
+
+def test_sweep_with_no_class_on_a_scenario_register_is_refused(tmp_path, capsys):
+    conf = tmp_path / "s.conf"
+    conf.write_text("sweep.draws = 2\nsweep.classes = w\nsweep.scenarios = 2q-collective\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("config error: sweep.scenarios: ")
+    assert not out.exists()
 
 
 def test_sweep_zero_floor_draw_passes(tmp_path, capsys):

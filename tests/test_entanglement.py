@@ -8,7 +8,6 @@ from dephasim.channels import evolve, gamma
 from dephasim.entanglement import (
     SPIN_FLIP_MATRIX,
     _sqrt_lambdas,
-    concurrence,
     concurrence_curve,
     entanglement_of_formation,
 )
@@ -32,10 +31,21 @@ def spin_flipped(rho):
     return SPIN_FLIP_MATRIX @ np.conj(rho) @ SPIN_FLIP_MATRIX
 
 
+def _lambdas(rho):
+    """The four Wootters eigenvalues of rho @ rho_tilde, descending, from the eigensolver path."""
+    return _sqrt_lambdas(rho) ** 2
+
+
+def _solved(stack):
+    """Concurrence of a stack by the eigensolver path, whatever its shape."""
+    roots = _sqrt_lambdas(stack)
+    return np.clip(roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3], 0.0, 1.0)
+
+
 def test_spin_flip_bell_state_is_fixed_point():
     assert np.max(np.abs(spin_flipped(BELL) - BELL)) < 1e-15
     # rho @ rho_tilde = BELL, a projector: Wootters eigenvalues (1, 0, 0, 0)
-    assert np.max(np.abs(np.array(concurrence(BELL).lambdas) - [1.0, 0.0, 0.0, 0.0])) < 1e-15
+    assert np.max(np.abs(_lambdas(BELL) - [1.0, 0.0, 0.0, 0.0])) < 1e-15
 
 
 def test_spin_flip_diagonal_input():
@@ -43,15 +53,15 @@ def test_spin_flip_diagonal_input():
     product = np.diag(p) @ spin_flipped(np.diag(p))
     expected = [p[0] * p[3], p[1] * p[2], p[2] * p[1], p[3] * p[0]]
     assert np.max(np.abs(product - np.diag(expected))) < 1e-15
-    lambdas = concurrence(np.diag(p).astype(complex)).lambdas
-    assert np.max(np.abs(np.array(lambdas) - sorted(expected, reverse=True))) < 1e-15
+    lambdas = _lambdas(np.diag(p).astype(complex))
+    assert np.max(np.abs(lambdas - sorted(expected, reverse=True))) < 1e-15
 
 
 def test_spin_flip_product_state_gives_zero_product():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     assert np.max(np.abs(rho @ spin_flipped(rho))) == 0.0
-    assert concurrence(rho).lambdas == (0.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(_lambdas(rho), [0.0, 0.0, 0.0, 0.0])
 
 
 def test_spin_flip_matrix_is_antidiagonal():
@@ -62,9 +72,10 @@ def test_spin_flip_matrix_is_antidiagonal():
 
 
 def test_concurrence_of_bell_state_is_one():
-    result = concurrence(BELL)
-    assert abs(result.value - 1.0) < 1e-12
-    assert np.max(np.abs(np.array(result.lambdas) - [1.0, 0.0, 0.0, 0.0])) < 1e-12
+    # an X-state: the closed form, checked against the eigensolver path
+    assert abs(concurrence_curve(BELL) - 1.0) < 1e-12
+    assert abs(_solved(BELL) - 1.0) < 1e-12
+    assert np.max(np.abs(_lambdas(BELL) - [1.0, 0.0, 0.0, 0.0])) < 1e-12
 
 
 def test_concurrence_of_product_state_is_zero():
@@ -74,7 +85,7 @@ def test_concurrence_of_product_state_is_zero():
         vb = rng.normal(size=2) + 1j * rng.normal(size=2)
         v = np.kron(va / np.linalg.norm(va), vb / np.linalg.norm(vb))
         rho = np.outer(v, v.conj())
-        assert concurrence(rho).value < 1e-12
+        assert concurrence_curve(rho) < 1e-12
 
 
 def test_concurrence_of_pure_state_closed_form():
@@ -82,7 +93,7 @@ def test_concurrence_of_pure_state_closed_form():
     for _ in range(10):
         spec = draw_state("generic", rng)
         expected = 2 * abs(spec.a * spec.d - spec.b * spec.c)
-        got = concurrence(projector(spec)).value
+        got = concurrence_curve(projector(spec))
         assert abs(got - min(expected, 1.0)) < 1e-12
 
 
@@ -94,7 +105,7 @@ def test_concurrence_fragile_under_collective_decay():
         for t in (0.0, 0.5, 1.5, 3.0):
             rho = evolve(projector(spec), scenario, t)
             expected = 2 * gamma(1.0, t) ** 4 * abs(spec.a) * abs(spec.d)
-            assert abs(concurrence(rho).value - expected) < 1e-12
+            assert abs(concurrence_curve(rho) - expected) < 1e-12
 
 
 def test_concurrence_robust_under_collective_is_constant():
@@ -105,7 +116,7 @@ def test_concurrence_robust_under_collective_is_constant():
         expected = 2 * abs(spec.b) * abs(spec.c)
         for t in (0.0, 1.0, 4.0):
             rho = evolve(projector(spec), scenario, t)
-            assert abs(concurrence(rho).value - expected) < 1e-12
+            assert abs(concurrence_curve(rho) - expected) < 1e-12
 
 
 def test_concurrence_w_reduced_pairs_under_local():
@@ -117,7 +128,7 @@ def test_concurrence_w_reduced_pairs_under_local():
         g = gamma(1.0, t)
         rho = evolve(projector(spec), scenario, t)
         red_ab = partial_trace(rho.matrix, ("A", "B"), ("A", "B", "C"))
-        c_ab = concurrence(red_ab).value
+        c_ab = concurrence_curve(red_ab)
         assert abs(c_ab**2 - 4 * abs(spec.a2) ** 2 * abs(spec.a4) ** 2 * g**2) < 1e-12
 
 
@@ -127,7 +138,7 @@ def test_lambdas_match_brute_force_eigensolve():
     for _ in range(20):
         spec = draw_state("generic", rng)
         rho = evolve(projector(spec).matrix, scenario, float(rng.uniform(0, 2)))
-        lam = np.array(concurrence(rho).lambdas)
+        lam = _lambdas(rho)
         assert np.all(np.diff(lam) <= 1e-12)
         brute = np.sort(np.abs(np.linalg.eigvals(rho @ spin_flipped(rho))))[::-1]
         assert np.max(np.abs(lam - brute)) < 1e-8
@@ -140,7 +151,7 @@ def test_concurrence_invariant_under_local_unitaries():
         rho = evolve(projector(spec).matrix, named_scenario("2q-collective", 1.0), 0.5)
         u = np.kron(random_unitary(rng), random_unitary(rng))
         rotated = u @ rho @ u.conj().T
-        assert abs(concurrence(rotated).value - concurrence(rho).value) < 1e-10
+        assert abs(concurrence_curve(rotated) - concurrence_curve(rho)) < 1e-10
 
 
 def test_concurrence_never_increases_under_dephasing():
@@ -150,16 +161,16 @@ def test_concurrence_never_increases_under_dephasing():
         scenario = named_scenario(name, 1.0)
         spec = draw_state("generic", rng)
         rho0 = projector(spec).matrix
-        values = np.array(
-            [concurrence(evolve(rho0, scenario, t)).value for t in times]
-        )
+        values = concurrence_curve(evolve(rho0, scenario, times[:, None, None]))
         assert np.all(np.diff(values) <= 1e-12)
 
 
 def test_concurrence_rejects_non_psd():
     bad = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
-    with pytest.raises(ValueError):
-        concurrence(bad)
+    off_x = bad.copy()
+    off_x[0, 1] = off_x[1, 0] = 0.01  # outside the X shape, so the eigensolver makes the check
+    with pytest.raises(ValueError, match="^density matrix has eigenvalue"):
+        concurrence_curve(off_x)
     nan_diagonal = np.diag([0.5, math.nan, 0.25, 0.25]).astype(complex)
     for x_state in (bad, nan_diagonal):
         # X-shaped, so the closed form makes the check
@@ -169,8 +180,6 @@ def test_concurrence_rejects_non_psd():
 
 
 def test_concurrence_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        concurrence(np.eye(8) / 8)
     for shape in ((8, 8), (3, 8, 8), (2, 4, 3), (4,), ()):
         message = rf"^concurrence_curve needs .* got shape {re.escape(str(shape))}$"
         with pytest.raises(ValueError, match=message):
@@ -195,8 +204,9 @@ def test_concurrence_curve_matches_scalar_calls():
     generic = np.stack([evolve(projector(spec).matrix, scenario, t) for t in times])
     for stack in (generic, _w_pair_stacks()[0][::10]):
         curve = concurrence_curve(stack)
-        singles = np.array([concurrence(stack[k]).value for k in range(len(stack))])
-        assert np.max(np.abs(curve - singles)) < 1e-12
+        singles = np.array([concurrence_curve(stack[k]) for k in range(len(stack))])
+        assert np.array_equal(curve, singles)
+        assert np.max(np.abs(curve - _solved(stack))) < 1e-12
 
 
 def test_w_pair_concurrence_is_twice_its_coherence_bit_for_bit():
@@ -217,18 +227,11 @@ def _random_x_states(rng, count):
     return out
 
 
-def _solved(stack):
-    """Concurrence of a stack by the eigensolver path, whatever its shape."""
-    roots = _sqrt_lambdas(stack)
-    return np.clip(roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3], 0.0, 1.0)
-
-
 def test_concurrence_curve_of_x_states_matches_the_eigensolver():
     stack = _random_x_states(np.random.default_rng(15), 400)
     curve = concurrence_curve(stack)
     assert 0 < np.count_nonzero(curve) < len(curve)
     assert np.max(np.abs(curve - _solved(stack))) < 1e-13
-    assert np.max(np.abs(curve - [concurrence(rho).value for rho in stack])) < 1e-13
     assert np.array_equal(concurrence_curve(stack.reshape(200, 2, 4, 4)), curve.reshape(200, 2))
     # the path is chosen per matrix: one matrix outside the X shape takes the
     # eigensolver and leaves every other entry's bits as they were

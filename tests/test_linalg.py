@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from dephasim.linalg import (
-    PAULI_Y,
     frobenius_distance,
-    kron,
     partial_trace,
     subspace_index,
 )
@@ -19,31 +17,6 @@ def random_density(rng, n_qubits):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-
-
-def test_kron_diagonal_ordering_first_factor_major():
-    g = 0.25
-    out = kron(np.diag([1.0, g]), I2)
-    assert np.array_equal(np.diag(out), [1.0, 1.0, g, g])
-
-
-def test_kron_pauli_y_pair_is_antidiagonal():
-    out = kron(PAULI_Y, PAULI_Y)
-    expected = np.zeros((4, 4))
-    expected[0, 3] = expected[3, 0] = -1.0
-    expected[1, 2] = expected[2, 1] = 1.0
-    assert np.max(np.abs(out - expected)) == 0.0
-
-
-def test_kron_associativity_exact_for_operator_patterns():
-    a = np.diag([1.0, 0.5])
-    b = np.diag([0.25, 1.0])
-    c = np.diag([1.0, 0.75])
-    assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
 
 
 def test_partial_trace_bell_state_is_maximally_mixed():

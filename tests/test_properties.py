@@ -26,7 +26,7 @@ from dephasim.channels import (  # noqa: E402
 )
 from dephasim.cli import main  # noqa: E402
 from dephasim.linalg import frobenius_distance  # noqa: E402
-from dephasim.entanglement import concurrence  # noqa: E402
+from dephasim.entanglement import _sqrt_lambdas, concurrence_curve  # noqa: E402
 from dephasim.montecarlo import ALPHA, TrajectoryConfig, compare_to_channel  # noqa: E402
 from dephasim.presets import SCENARIO_LAYOUTS, draw_state  # noqa: E402
 from dephasim.states import (  # noqa: E402
@@ -218,7 +218,8 @@ def test_verify_writes_its_verdict_or_nothing(case):
 
 
 #: what a drawn `sweep` config gets wrong, if anything: one key out of range or
-#: unknown, or a line without "="
+#: unknown, or a line without "="; a fault-free config whose classes and
+#: scenarios share no register size is refused as well
 SWEEP_FAULTS = (None,) * 5 + ("class", "scenario", "draws", "seed", "rate", "line")
 
 
@@ -232,6 +233,9 @@ def sweep_configs(draw):
     seed = draw(st.integers(-(2**32), -1) if fault == "seed" else st.integers(0, 2**32 - 1))
     outside = scales.filter(lambda rate: not _in_range([rate]))
     rate = draw(outside if fault == "rate" else st.floats(-100.0, 100.0).map(lambda x: 10.0**x))
+    # a valid config has at least one class on the register of one of its scenarios
+    sizes = {len(STATE_TYPES[cls].register) for cls in classes}
+    matched = any(SCENARIO_LAYOUTS[scen][0] in sizes for scen in scenarios)
     if fault == "class":
         classes.insert(draw(st.integers(0, len(classes))), "bell")
     if fault == "scenario":
@@ -243,7 +247,7 @@ def sweep_configs(draw):
         f"sweep.seed = {seed}",
         f"sweep.rate = {rate!r}",
     ] + ["sweep.rate"] * (fault == "line")
-    valid = fault is None and _in_range([rate])
+    valid = fault is None and _in_range([rate]) and matched
     return "\n".join(lines) + "\n", fault, (classes, scenarios, draws) if valid else None
 
 
@@ -288,10 +292,10 @@ def test_evolution_stays_a_state(case, t):
     assert isinstance(rho, DensityMatrix)
     pairs = {key: m for key, m in reduced_stacks(rho.matrix, spec.register).items() if len(key) == 2}
     for key, pair in pairs.items():
-        result = concurrence(pair)
-        roots = np.sqrt(np.clip(result.lambdas, 0.0, None))
+        assert 0.0 <= concurrence_curve(pair) <= 1.0, key
         # the unclipped Wootters value, not only the clipped one, stays at most 1
-        assert 0.0 <= result.value <= 1.0 and roots[0] - roots[1:].sum() <= 1.0 + 1e-12, key
+        roots = _sqrt_lambdas(pair)
+        assert roots[0] - roots[1:].sum() <= 1.0 + 1e-12, key
 
 
 #: the Monte Carlo census: every proven-equivalent layout, trajectory counts

@@ -18,7 +18,6 @@ from dephasim.states import (
     analytic_factors,
     check_density,
     projector,
-    reduced_all,
     reduced_stacks,
     slots,
 )
@@ -244,9 +243,9 @@ def test_reduced_fragile_single_qubit():
     t = 1.1
     g = gamma(1.0, t)
     evolved = analytic_evolved(spec, named_scenario("2q-collective", 1.0), t)
-    red = reduced_all(evolved)
+    red = reduced_stacks(evolved.matrix, evolved.register)
     a, b, d = spec.a, spec.b, spec.d
-    rho_a = red[("A",)].matrix
+    rho_a = red["A"]
     assert abs(rho_a[0, 0] - (abs(a) ** 2 + abs(b) ** 2)) < 1e-14
     assert abs(rho_a[0, 1] - b * np.conj(d) * g) < 1e-14
     assert abs(rho_a[1, 1] - abs(d) ** 2) < 1e-14
@@ -257,20 +256,19 @@ def test_reduced_w_under_local_A():
     t = 0.7
     g = gamma(1.0, t)
     evolved = analytic_evolved(spec, named_scenario("3q-local-A", 1.0), t)
-    red = reduced_all(evolved)
+    red = reduced_stacks(evolved.matrix, evolved.register)
     a1, a2, a4 = spec.a1, spec.a2, spec.a4
     # BC keeps its coherence with no decay factor
-    rho_bc = red[("B", "C")].matrix
+    rho_bc = red["BC"]
     assert abs(rho_bc[1, 2] - a1 * np.conj(a2)) < 1e-14
     assert abs(rho_bc[0, 0] - abs(a4) ** 2) < 1e-14
     # AB coherence carries the local decay factor
-    rho_ab = red[("A", "B")].matrix
+    rho_ab = red["AB"]
     assert abs(rho_ab[1, 2] - a2 * np.conj(a4) * g) < 1e-14
     # single-qubit reductions are diagonal at every time
     for q in ("A", "B", "C"):
-        mat = red[(q,)].matrix
-        assert abs(mat[0, 1]) < 1e-15
-    rho_a = red[("A",)].matrix
+        assert abs(red[q][0, 1]) < 1e-15
+    rho_a = red["A"]
     assert abs(rho_a[0, 0] - (abs(a1) ** 2 + abs(a2) ** 2)) < 1e-14
     assert abs(rho_a[1, 1] - abs(a4) ** 2) < 1e-14
 
@@ -278,31 +276,27 @@ def test_reduced_w_under_local_A():
 def test_reduced_ghz_pairwise_diagonal():
     spec = draw_state("ghz", RNG)
     evolved = analytic_evolved(spec, named_scenario("3q-multi-local", 1.0), 1.5)
-    red = reduced_all(evolved)
+    red = reduced_stacks(evolved.matrix, evolved.register)
     expected = np.diag([abs(spec.a0) ** 2, 0.0, 0.0, abs(spec.a7) ** 2])
-    for pair in (("A", "B"), ("A", "C"), ("B", "C")):
-        assert np.max(np.abs(red[pair].matrix - expected)) < 1e-14
+    for pair in ("AB", "AC", "BC"):
+        assert np.max(np.abs(red[pair] - expected)) < 1e-14
 
 
 def test_reduced_all_traces_are_one():
-    spec = draw_state("generic", RNG)
-    evolved = evolve(projector(spec), named_scenario("2q-multi-local", 1.0), 0.4)
-    for dm in reduced_all(evolved).values():
-        assert abs(np.trace(dm.matrix) - 1.0) < 1e-12
+    # every reduced matrix of an evolved state is a density matrix of trace one
+    for cls, scenario in (("generic", "2q-multi-local"), ("w", "3q-local-A-pair-BC")):
+        evolved = evolve(projector(draw_state(cls, RNG)), named_scenario(scenario, 1.0), 0.4)
+        for red in reduced_stacks(evolved.matrix, evolved.register).values():
+            check_density(red)
+            assert abs(np.trace(red) - 1.0) < 1e-12
 
 
 def test_reduced_all_subset_count():
+    # the register first, then its singles, then the pairs below it
     w = projector(draw_state("w", RNG))
-    assert set(reduced_all(w)) == {
-        ("A",),
-        ("B",),
-        ("C",),
-        ("A", "B"),
-        ("A", "C"),
-        ("B", "C"),
-    }
+    assert list(reduced_stacks(w.matrix, w.register)) == ["ABC", "A", "B", "C", "AB", "AC", "BC"]
     pair = projector(draw_state("robust", RNG))
-    assert set(reduced_all(pair)) == {("A",), ("B",)}
+    assert list(reduced_stacks(pair.matrix, pair.register)) == ["AB", "A", "B"]
 
 
 @pytest.mark.parametrize("n_qubits", [2, 3])

@@ -12,7 +12,7 @@ from dephasim.channels import (
     decay_exponents,
     evolve,
 )
-from dephasim.entanglement import concurrence, concurrence_curve
+from dephasim.entanglement import concurrence_curve
 from dephasim.errors import UnsupportedScenarioError
 from dephasim.linalg import partial_trace, subspace_index
 from dephasim.presets import (
@@ -26,7 +26,6 @@ from dephasim.states import (
     STATE_TYPES,
     analytic_evolved,
     projector,
-    reduced_all,
     reduced_stacks,
 )
 from dephasim import timescales
@@ -118,6 +117,22 @@ def test_time_grid_size_bounds():
         TimeGrid(1.0, 100_001)
 
 
+def test_time_grid_times_are_built_once_and_read_only():
+    grid = TimeGrid(2.5, 77)
+    assert grid.times is grid.times
+    assert not grid.times.flags.writeable
+    expected = np.linspace(0.0, 2.5, 77)
+    assert grid.times.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        grid.times[0] = 1.0
+    # still a frozen value: equal and hashed by (t_max, n_samples), times read or not
+    fresh = TimeGrid(2.5, 77)
+    assert fresh == grid and hash(fresh) == hash(grid) and len({fresh, grid}) == 1
+    assert repr(fresh) == repr(grid) == "TimeGrid(t_max=2.5, n_samples=77)"
+    with pytest.raises(AttributeError):
+        grid.t_max = 1.0
+
+
 @pytest.mark.parametrize("t_max", [0.0, 1e-101, 1e101, math.nan, math.inf])
 def test_time_grid_horizon_is_bounded(t_max):
     with pytest.raises(ValueError, match=r"^t_max must be in \[1e-100, 1e\+100\]"):
@@ -154,7 +169,7 @@ def test_paper_tau_table_fragile_and_robust():
     assert fragile["2-dec-fast"].printed == 0.25
     assert fragile["dis"].printed == 0.25 and fragile["dis"].convention == "C"
     assert fragile["1-dec"].printed == 0.5
-    assert fragile["1-dec"].fitted_equiv == 1.0  # decay factor implies 2 / rate
+    assert fragile["1-dec"].implied == 1.0  # decay factor implies 2 / rate
     robust = {e.label: e for e in paper_tau_table("robust", scenario)}
     assert robust["2-dec"].printed == 1.0
     assert "dis" not in robust
@@ -173,7 +188,7 @@ def test_paper_tau_table_w_class():
     }
     # additive transcription differs from the factor-implied e-folding
     assert mixed["3-dec"].printed == 2.0 / 1.0 + 2.0 / 2.0
-    assert abs(mixed["3-dec"].fitted_equiv - 2.0 / 3.0) < 1e-15
+    assert abs(mixed["3-dec"].implied - 2.0 / 3.0) < 1e-15
 
 
 def test_paper_tau_table_ghz():
@@ -189,7 +204,7 @@ def test_paper_tau_table_ghz():
         assert abs(entry.printed - expected) < 1e-15
     (mixed,) = paper_tau_table("ghz", named_scenario("3q-local-A-pair-BC", (1.0, 1.0)))
     assert abs(mixed.printed - 2.5) < 1e-15
-    assert abs(mixed.fitted_equiv - 0.4) < 1e-15
+    assert abs(mixed.implied - 0.4) < 1e-15
 
 
 def test_paper_tau_table_rejects_unknown_pairs():
@@ -255,7 +270,7 @@ def test_factor_implied_rows_follow_decay_exponents():
             for entry in paper_tau_table(cls, scenario):
                 if entry.label in picks and not (entry.label == "2-dec" and size == 3):
                     expected = picks[entry.label](taus)
-                    assert abs(entry.fitted_equiv - expected) <= 1e-15 * expected, (cls, name)
+                    assert abs(entry.implied - expected) <= 1e-15 * expected, (cls, name)
                     checked += 1
     assert checked == 22
 
@@ -280,7 +295,7 @@ def test_report_fits_match_factor_implied_taus():
         for entry in report.paper_taus:
             got = measured[entry.label]
             assert got is not None, (cls, scen_name, entry.label)
-            assert abs(got - entry.fitted_equiv) <= 1e-12 * entry.fitted_equiv
+            assert abs(got - entry.implied) <= 1e-12 * entry.implied
 
 
 def test_report_element_taus_match_analytic_factors():
@@ -411,10 +426,9 @@ def test_disentanglement_time_sits_on_the_level():
                 if not row.decays:
                     continue
                 rho = evolve(projector(spec), scenario, row.tau)
-                if len(label) < len(spec.register):
-                    rho = reduced_all(rho)[tuple(label)]
+                pair = reduced_stacks(rho.matrix, spec.register)[label]
                 level = row.limit + (row.amplitude - row.limit) / math.e
-                assert abs(concurrence(rho).value ** power - level) <= 1e-12, (spec, label)
+                assert abs(concurrence_curve(pair) ** power - level) <= 1e-12, (spec, label)
                 checked += 1
     assert checked > 30
 
