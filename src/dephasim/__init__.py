@@ -16,7 +16,6 @@ from .channels import (
     PairCollective,
     TripleCollective,
     apply_kraus,
-    decay_exponents,
     evolve,
     gamma,
     kraus_for,

@@ -8,15 +8,16 @@ channels acting on a register together with their damping rates.
 Because every operator is diagonal, a ``KrausSet`` stores only the
 diagonals, ``kraus_for`` builds the set of every channel kind, and
 ``apply_kraus`` takes the operator sum elementwise.  The sum multiplies
-each coherence (i, j) by its own factor, exp(-E_ij t): ``decay_exponents``
-builds the exponent matrix E of a scenario once from the Kraus diagonals,
-and ``evolve`` applies the channels as rho0 * exp(-t E).
+each coherence (i, j) by its own factor, exp(-E_ij t): ``NoiseScenario.exponents``
+is the exponent matrix E, built once per scenario from the Kraus diagonals,
+and ``evolve``, the one place rho0 * exp(-t E) is formed, applies it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -169,6 +170,27 @@ class NoiseScenario:
         rates = [r for _, r in self.channels if r > 0]
         return min(rates) if rates else 0.0
 
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """Exponent matrix E, built on first read and read-only: rho_ij decays as exp(-E_ij t).
+
+        A diagonal channel multiplies rho elementwise by F = sum_k K J K^dagger,
+        its operator sum on the all-ones matrix J, so F_ij = sum_k d_ki d_kj
+        over the Kraus diagonals d_k.  Each channel's F is taken at the
+        reference time 1/rate, where it holds the same powers of g = e^(-1/2)
+        for every rate (populations exactly 1, nothing below g^4 = e^(-2)),
+        and adds -rate * ln F to E.  Channels with rate 0 add nothing.
+        """
+        dim = 1 << self.register_size
+        ones = np.ones((dim, dim))
+        exponents = np.zeros((dim, dim))
+        for kind, rate in self.channels:
+            if rate > 0:
+                ks = kraus_for(kind, self.register_size, rate, 1.0 / rate)
+                exponents -= rate * np.log(apply_kraus(ones, ks).real)
+        exponents.flags.writeable = False
+        return exponents
+
 
 @dataclass(frozen=True)
 class KrausSet:
@@ -241,31 +263,10 @@ def apply_kraus(rho: np.ndarray, ks: KrausSet) -> np.ndarray:
     return out
 
 
-def decay_exponents(scenario: NoiseScenario) -> np.ndarray:
-    """Exponent matrix E of the scenario: coherence (i, j) decays as exp(-E_ij t).
-
-    A diagonal channel multiplies rho elementwise by F = sum_k K J K^dagger,
-    its operator sum on the all-ones matrix J, so F_ij = sum_k d_ki d_kj over
-    the Kraus diagonals d_k.  Each channel's F is taken at the reference time
-    1/rate, where it holds the same powers of g = e^(-1/2) for every rate
-    (populations exactly 1, nothing below g^4 = e^(-2)), and adds
-    -rate * ln F to E.  Channels with rate 0 add nothing.
-    """
-    dim = 1 << scenario.register_size
-    ones = np.ones((dim, dim))
-    exponents = np.zeros((dim, dim))
-    for kind, rate in scenario.channels:
-        if rate == 0:
-            continue
-        ks = kraus_for(kind, scenario.register_size, rate, 1.0 / rate)
-        exponents -= rate * np.log(apply_kraus(ones, ks).real)
-    return exponents
-
-
 def evolve(rho0, scenario: NoiseScenario, t):
     """State at time t under every channel of the scenario, rho0 * exp(-t E).
 
-    E is ``decay_exponents(scenario)``; the channels commute, so their
+    E is ``scenario.exponents``; the channels commute, so their
     order does not matter.  `rho0` is a ``DensityMatrix`` or a (..., dim, dim)
     stack; for a stack, `t` may be an array of times that broadcasts against
     it, e.g. ``times[:, None, None]`` takes (N, 1, dim, dim) to (N, T, dim, dim).
@@ -280,5 +281,5 @@ def evolve(rho0, scenario: NoiseScenario, t):
         raise ValueError(
             f"state of shape {mat.shape} does not match a {scenario.register_size}-qubit scenario"
         )
-    out = mat.astype(complex) * np.exp(-times * decay_exponents(scenario))
+    out = mat.astype(complex) * np.exp(-times * scenario.exponents)
     return replace(rho0, matrix=out) if is_state else out

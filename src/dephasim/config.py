@@ -75,7 +75,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config(path: str | Path) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

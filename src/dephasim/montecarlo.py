@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import SCALE_RANGE, ChannelKind, NoiseScenario, decay_exponents, evolve
+from .channels import SCALE_RANGE, ChannelKind, NoiseScenario, evolve
 from .errors import EquivalenceNotEstablishedError
 from .linalg import QUBITS, UPPER, frobenius_distance, subspace_index
 from .states import StateSpec, projector
@@ -158,7 +158,7 @@ def compare_to_channel(
     as a failure.
     """
     t = cfg.t_final
-    exponents = decay_exponents(scenario)
+    exponents = scenario.exponents
     register = QUBITS[: scenario.register_size]
     # phase diffusion decays coherence (i, j) at rate * (h_i - h_j)^2 / 2 per
     # field, h being half the sigma_z sum on the field support

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import SCALE_RANGE, NoiseScenario, decay_exponents, evolve
+from .channels import SCALE_RANGE, NoiseScenario, evolve
 from .entanglement import concurrence_curve
 from .errors import UnsupportedScenarioError
 from .linalg import UPPER, partial_trace
@@ -230,8 +230,8 @@ def _coherence_taus(rho0: np.ndarray, exponents: np.ndarray) -> dict[str, Timesc
     return {key: Timescale(t, a) for key, t, a in zip(keys, tau.tolist(), amplitude.tolist())}
 
 
-def _crossings(rho0, exponents, register, pairs, levels, times, samples) -> np.ndarray:
-    """First t at which each pair's C on rho0 * exp(-t E) falls to its level.
+def _crossings(rho0, scenario, pairs, levels, times, samples) -> np.ndarray:
+    """First t at which each pair's C on ``evolve(rho0, scenario, t)`` falls to its level.
 
     Job k is pairs[k], levels[k] and samples[k], that pair's C over `times`.
     Its first sample at or below the level and the one before it bracket the
@@ -240,16 +240,16 @@ def _crossings(rho0, exponents, register, pairs, levels, times, samples) -> np.n
     per unconverged job and step; each job's result is its evaluated t
     nearest the level, the same bits as when it is refined alone.
     """
-    pairs, levels = list(pairs), np.asarray(levels, dtype=float)
+    pairs, levels, register = list(pairs), np.asarray(levels, dtype=float), scenario.register
 
     def f(t, jobs):
         """C - level of each of `jobs` at its t: one partial trace per pair, one C call."""
-        masked = rho0 * np.exp(-t[:, None, None] * exponents)
+        evolved = evolve(rho0, scenario, t[:, None, None])
         by_pair: dict[tuple[str, ...], list[int]] = {}
         for k, job in enumerate(jobs.tolist()):
             by_pair.setdefault(pairs[job], []).append(k)
         reduced = [
-            masked[ks] if pair == register else partial_trace(masked[ks], pair, register)
+            evolved[ks] if pair == register else partial_trace(evolved[ks], pair, register)
             for pair, ks in by_pair.items()
         ]
         c = np.empty(len(jobs))
@@ -325,7 +325,7 @@ def build_report(
     register = spec.register
     stack = sample_evolution(spec, scenario, grid)
     rho0 = stack[0]  # every grid starts at t = 0
-    exponents = decay_exponents(scenario)
+    exponents = scenario.exponents
     # one reduction pass: the samples, then rho0 masked to E = 0 (the t -> inf
     # limit) and last rho0 * E, which is not a state
     reduced = reduced_stacks(
@@ -361,7 +361,7 @@ def build_report(
     }
     which = [p for p, _ in levels]
     crossed = _crossings(
-        rho0, exponents, register, [pairs[p] for p in which], list(levels.values()), grid.times,
+        rho0, scenario, [pairs[p] for p in which], list(levels.values()), grid.times,
         curves[which, :-1],
     )
     taus = {**dict.fromkeys(ends, math.inf), **dict(zip(levels, crossed.tolist()))}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,15 +12,16 @@ from dephasim.channels import (
     PairCollective,
     TripleCollective,
     apply_kraus,
-    decay_exponents,
     evolve,
     gamma,
     kraus_for,
     omega_factors,
     verify_completeness,
 )
+from dephasim.montecarlo import TrajectoryConfig, compare_to_channel
 from dephasim.states import DensityMatrix, analytic_factors, projector
 from dephasim.presets import draw_state, named_scenario
+from dephasim.timescales import audit_inequality, build_report
 
 
 def random_density(rng, n_qubits):
@@ -300,11 +302,11 @@ def test_evolve_matches_sequential_kraus_at_wide_rates():
             assert np.max(np.abs(evolve(rho, scenario, t) - sequential)) <= 1e-12, (scenario, t)
 
 
-def test_decay_exponents_finite_and_zero_for_idle_channels():
+def test_exponents_finite_and_zero_for_idle_channels():
     rng = np.random.default_rng(14)
     for trial in range(60):
         scenario = random_wide_scenario(rng, allow_overlap=trial % 2 == 1)
-        exponents = decay_exponents(scenario)
+        exponents = scenario.exponents
         assert np.all(np.isfinite(exponents)) and np.min(exponents) >= 0.0
         assert np.all(np.diag(exponents) == 0.0)
         idle = NoiseScenario(
@@ -312,26 +314,54 @@ def test_decay_exponents_finite_and_zero_for_idle_channels():
             tuple((kind, 0.0) for kind, _ in scenario.channels),
             allow_overlap=scenario.allow_overlap,
         )
-        assert np.all(decay_exponents(idle) == 0.0)
+        assert np.all(idle.exponents == 0.0)
     # a rate-0 channel leaves the exponents of the others unchanged
     busy = ((Local("A"), 37.0), (PairCollective("B", "C"), 0.1))
     with_idle = NoiseScenario(3, busy + ((TripleCollective(), 0.0),), allow_overlap=True)
-    assert np.array_equal(decay_exponents(with_idle), decay_exponents(NoiseScenario(3, busy)))
+    assert np.array_equal(with_idle.exponents, NoiseScenario(3, busy).exponents)
 
 
-def test_decay_exponents_of_the_paper_channels():
+def test_exponents_of_the_paper_channels():
     # coherence decays at rate/2 per flipped local qubit; the collective
     # corners |0..0><1..1| at 2 rate, the singlet-like |01><10| not at all
     assert np.array_equal(
-        decay_exponents(NoiseScenario(2, ((Local("A"), 3.0),))),
+        NoiseScenario(2, ((Local("A"), 3.0),)).exponents,
         np.array([[0, 0, 1.5, 1.5], [0, 0, 1.5, 1.5], [1.5, 1.5, 0, 0], [1.5, 1.5, 0, 0]]),
     )
-    pair = decay_exponents(NoiseScenario(2, ((PairCollective("A", "B"), 1.0),)))
+    pair = NoiseScenario(2, ((PairCollective("A", "B"), 1.0),)).exponents
     expected = [[0, 0.5, 0.5, 2], [0.5, 0, 0, 0.5], [0.5, 0, 0, 0.5], [2, 0.5, 0.5, 0]]
     assert np.allclose(pair, expected, rtol=1e-15, atol=0)
     assert pair[1, 2] == 0.0
-    triple = decay_exponents(NoiseScenario(3, ((TripleCollective(), 1.0),)))
+    triple = NoiseScenario(3, ((TripleCollective(), 1.0),)).exponents
     assert abs(triple[0, 7] - 2.0) < 1e-15 and triple[1, 2] == triple[3, 5] == 0.0
+
+
+def test_exponents_are_built_once_per_scenario(monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return kraus_for(*args)
+
+    monkeypatch.setattr("dephasim.channels.kraus_for", counted)
+    busy = ((Local("A"), 2.0), (PairCollective("B", "C"), 0.5), (TripleCollective(), 0.0))
+    scenario = NoiseScenario(3, busy, allow_overlap=True)
+    unread_hash = hash(scenario)
+    spec = draw_state("w", np.random.default_rng(3))
+    audit_inequality(build_report(spec, scenario))
+    for t in (0.0, 0.1, 0.5, 1.0, 4.0):
+        evolve(projector(spec), scenario, t)
+    compare_to_channel(spec, scenario, TrajectoryConfig(50, 1, 0.5))
+    assert len(builds) == 2  # the channels with a nonzero rate
+
+    with pytest.raises(ValueError, match="read-only"):
+        scenario.exponents[0, 1] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.exponents = np.zeros((8, 8))
+    fresh = NoiseScenario(3, busy, allow_overlap=True)
+    assert fresh == scenario and hash(fresh) == hash(scenario) == unread_hash
+    assert fresh.exponents.tobytes() == scenario.exponents.tobytes()
+    assert len(builds) == 4
 
 
 def test_evolve_identity_at_t_zero():

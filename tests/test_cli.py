@@ -425,6 +425,22 @@ def test_non_utf8_config_is_a_parse_error(fragile_conf, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_key(fragile_conf, tmp_path):
+    bom = tmp_path / "bom.conf"
+    bom.write_bytes(b"\xef\xbb\xbf" + fragile_conf.read_bytes())
+    assert load_config(bom) == load_config(fragile_conf)
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    assert main(["run", "--config", str(fragile_conf), "--out", str(plain), "--plots"]) == 0
+    assert main(["run", "--config", str(bom), "--out", str(marked), "--plots"]) == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in marked.iterdir())
+    for name in names:
+        assert (marked / name).read_bytes() == (plain / name).read_bytes()
+    # a mark does not make other bytes UTF-8
+    bom.write_bytes(b"\xef\xbb\xbfstate.class = w\xff\n")
+    assert main(["run", "--config", str(bom), "--out", str(tmp_path / "o")]) == 2
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_register_mismatch_is_validation_error(tmp_path, capsys, command):
     conf = tmp_path / "m.conf"

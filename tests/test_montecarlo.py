@@ -9,7 +9,6 @@ from dephasim.channels import (
     NoiseScenario,
     PairCollective,
     TripleCollective,
-    decay_exponents,
     gamma,
 )
 from dephasim.errors import EquivalenceNotEstablishedError
@@ -201,7 +200,7 @@ def test_z_scores_use_the_exact_null_variance():
     spec, scenario, cfg = w_case(1, 2000)
     cmp_ = compare_to_channel(spec, scenario, cfg)
     rho0 = projector(spec).matrix
-    exponents = decay_exponents(scenario)
+    exponents = scenario.exponents
     dev = cmp_.mc_mean - cmp_.channel_matrix
     live, total_var = 0, 0.0
     for i, j in zip(*np.triu_indices(8, 1)):

@@ -21,7 +21,6 @@ from dephasim.channels import (  # noqa: E402
     NoiseScenario,
     PairCollective,
     TripleCollective,
-    decay_exponents,
     evolve,
 )
 from dephasim.cli import main  # noqa: E402
@@ -286,7 +285,7 @@ def test_sweep_writes_one_row_per_pair_verdict_or_nothing(case):
 @given(cases(), st.floats(-100.0, 100.0).map(lambda x: 10.0**x))
 def test_evolution_stays_a_state(case, t):
     spec, scenario = case
-    exponents = decay_exponents(scenario)
+    exponents = scenario.exponents
     assert np.all(exponents >= 0.0)
     rho = evolve(projector(spec), scenario, t)  # DensityMatrix: Hermitian, trace 1, PSD
     assert isinstance(rho, DensityMatrix)

@@ -9,7 +9,6 @@ from dephasim.channels import (
     NoiseScenario,
     PairCollective,
     TripleCollective,
-    decay_exponents,
     evolve,
 )
 from dephasim.entanglement import concurrence_curve
@@ -149,7 +148,7 @@ def test_build_report_refuses_an_out_of_range_rate():
         build_report(draw_state("fragile", np.random.default_rng(0)), named_scenario("2q-collective", 1e308))
 
 
-def test_fitted_taus_follow_decay_exponents():
+def test_fitted_taus_follow_the_exponents():
     # an element scaled by g1^p g2^q decays at rate (p r1 + q r2) / 2
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -249,7 +248,7 @@ def test_paper_tau_table_follows_relabelled_layouts(name, channels):
         assert rows and paper_tau_table(cls, relabelled) == rows
 
 
-def test_factor_implied_rows_follow_decay_exponents():
+def test_factor_implied_rows_follow_the_exponents():
     # a full-register element row implies the slowest (2-dec-fast: the fastest)
     # e-folding 1 / E_ij among the decaying coherences on the class's support
     picks = {"3-dec": max, "2-dec-slow": max, "2-dec-fast": min, "2-dec": max}
@@ -261,7 +260,7 @@ def test_factor_implied_rows_follow_decay_exponents():
             if len(rates) != len(kinds):
                 continue
             scenario = named_scenario(name, [rates[kinds.index(type(k))] for k in layout])
-            exponents = decay_exponents(scenario)
+            exponents = scenario.exponents
             taus = [
                 1.0 / exponents[i, j]
                 for i, j in combinations(STATE_TYPES[cls].support, 2)
@@ -489,7 +488,7 @@ def test_reduced_coherences_are_single_exponentials():
     for size, chosen in _kind_sets():
         rates = rng.uniform(0.1, 10.0, size=len(chosen))
         scenario = NoiseScenario(size, tuple(zip(chosen, rates)), allow_overlap=True)
-        exponents = decay_exponents(scenario)
+        exponents = scenario.exponents
         for cls in STATE_TYPES.values():
             if len(cls.register) != size:
                 continue
@@ -579,7 +578,7 @@ def test_refining_crossings_together_changes_no_bit(monkeypatch):
                 continue
             pairs, levels, curves, taus = zip(*jobs)
             rho0 = sample_evolution(spec, scenario, grid)[0]
-            args = (rho0, decay_exponents(scenario), spec.register)
+            args = (rho0, scenario)
             together = _crossings(*args, pairs, levels, grid.times, np.stack(curves))
             assert together.tolist() == list(taus), (cls, scen_name, grid)
             counts = []
