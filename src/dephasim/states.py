@@ -223,17 +223,14 @@ def analytic_evolved(spec: StateSpec, scenario: NoiseScenario, t: float) -> Dens
 def reduced_stacks(stack: np.ndarray, register: tuple[str, ...]) -> dict[str, np.ndarray]:
     """Every matrix of the register, keyed by kept qubits: "AB" or "ABC", the singles, the pairs.
 
-    The full register (`stack` itself) comes first, then each single qubit,
-    then, on three qubits, each pair in A < B < C order.  Leading batch axes
-    pass through.  A single qubit is traced from its first pair (A, B from AB,
-    C from AC): `partial_trace` removes the highest position first, so that
-    adds what a trace of `stack` adds, in order.
+    The full register comes first, then each single qubit, then, on three
+    qubits, each pair in A < B < C order; on two qubits the one pair is the
+    register, and its trace, `stack`'s values, keeps the first place.  Leading
+    batch axes pass through.  A single qubit is traced from its first pair (A,
+    B from AB, C from AC): `partial_trace` removes the highest position first,
+    so that adds what a trace of `stack` adds, in order.
     """
-    pairs = {
-        pair: stack if pair == register else partial_trace(stack, pair, register)
-        for pair in combinations(register, 2)
-    }
+    pairs = {"".join(p): partial_trace(stack, p, register) for p in combinations(register, 2)}
     first = {q: next(pair for pair in pairs if q in pair) for q in register}
     singles = {q: partial_trace(pairs[pair], (q,), pair) for q, pair in first.items()}
-    below = {"".join(pair): reduced for pair, reduced in pairs.items() if pair != register}
-    return {"".join(register): stack, **singles, **below}
+    return {"".join(register): stack, **singles, **pairs}

@@ -4,8 +4,9 @@ Every coherence (i, j) decays as exp(-E_ij t), E being the scenario's
 exponent matrix, so its e-folding time is read from E.  The concurrence C of
 a pair falls toward the concurrence C_inf of rho0 masked to E_ij = 0; its
 time is the first t at which C - C_inf = (C0 - C_inf)/e, found on the exact
-evolution.  ``build_report`` reduces the sampled evolution, rho0 * [E = 0]
-and rho0 * E in one pass, takes every pair's curve and limit in one
+evolution.  ``build_report`` reduces the sampled evolution, rho0 * [E = 0],
+E and a count on rho0's nonzero terms in one pass, reads every matrix's
+coherence times from the last two, takes every pair's curve and limit in one
 concurrence call, and refines all of its crossings in one batched Illinois
 regula falsi.  The audit checks, pair by pair, that entanglement never
 outlives the slowest decaying coherence at any scale.  ``fit_exponential``
@@ -221,7 +222,7 @@ class TimescaleReport:
 
 
 def _coherence_taus(rho0: np.ndarray, exponents: np.ndarray) -> dict[str, Timescale]:
-    """1 / E_ij and |rho0_ij| of every upper off-diagonal element."""
+    """1 / exponent and |rho0_ij| of every upper off-diagonal element of one matrix."""
     rows, cols, keys = UPPER[len(rho0)]
     amplitude = np.abs(rho0[rows, cols])
     rates = exponents[rows, cols]
@@ -248,10 +249,7 @@ def _crossings(rho0, scenario, pairs, levels, times, samples) -> np.ndarray:
         by_pair: dict[tuple[str, ...], list[int]] = {}
         for k, job in enumerate(jobs.tolist()):
             by_pair.setdefault(pairs[job], []).append(k)
-        reduced = [
-            evolved[ks] if pair == register else partial_trace(evolved[ks], pair, register)
-            for pair, ks in by_pair.items()
-        ]
+        reduced = [partial_trace(evolved[ks], pair, register) for pair, ks in by_pair.items()]
         c = np.empty(len(jobs))
         c[[k for ks in by_pair.values() for k in ks]] = concurrence_curve(np.concatenate(reduced))
         return c - levels[jobs]
@@ -326,29 +324,25 @@ def build_report(
     stack = sample_evolution(spec, scenario, grid)
     rho0 = stack[0]  # every grid starts at t = 0
     exponents = scenario.exponents
+    live = rho0 != 0
     # one reduction pass: the samples, then rho0 masked to E = 0 (the t -> inf
-    # limit) and last rho0 * E, which is not a state
+    # limit), and last E and a count over the nonzero terms of rho0, not states
     reduced = reduced_stacks(
-        np.concatenate([stack, [rho0 * (exponents == 0), rho0 * exponents]]), register
+        np.concatenate([stack, [rho0 * (exponents == 0), live * exponents, live]]), register
     )
-
-    # the full register reads E itself: the ratio below is not bit-exact there
-    full = "".join(register)
-    coherence_taus = {full: _coherence_taus(rho0, exponents)}
+    # an element has at most two nonzero terms and they share one exponent (a
+    # test pins this), so their summed E over their count is that E, bit for bit
+    coherence_taus = {}
     for label, red in reduced.items():
-        if label != full:
-            # the nonzero terms of a reduced element share one exponent (a test
-            # pins this), so reduced rho0 * E over reduced rho0 is that exponent
-            start, weighted = red[0], red[-1]
-            live = np.abs(start) > ZERO_FLOOR
-            rates = np.divide(weighted, start, out=np.zeros_like(start), where=live).real
-            coherence_taus[label] = _coherence_taus(start, rates)
+        summed, terms = red[-2].real, red[-1].real
+        rates = np.divide(summed, terms, out=np.zeros_like(summed), where=terms > 0)
+        coherence_taus[label] = _coherence_taus(red[0], rates)
 
     # the C**p tau is the first t at which C falls to the p-th root of
     # C_inf**p + (C0**p - C_inf**p) / e; inf if C0**p - C_inf**p is within the zero floor
     labels = [label for label in reduced if len(label) == 2]
     pairs = [tuple(label) for label in labels]
-    curves = concurrence_curve(np.stack([reduced[label][:-1] for label in labels]))
+    curves = concurrence_curve(np.stack([reduced[label][:-2] for label in labels]))
     ends = {
         (p, power): (c0**power, c_inf**power)
         for p, (c0, c_inf) in enumerate(zip(curves[:, 0].tolist(), curves[:, -1].tolist()))

@@ -551,6 +551,11 @@ def test_paper_tables_all_green(tmp_path, capsys):
     assert payload["failures"] == []
     assert all(row["ok"] for row in payload["oracle_checks"])
     assert all(row["ok"] for row in payload["timescales"])
+    # a coherence time is 1 / E bit for bit; the disentanglement rows come
+    # from regula falsi and are checked to 1e-12 by the command itself
+    elements = [row for row in payload["timescales"] if row["convention"] == "element"]
+    assert len(elements) == 18
+    assert [row["measured"] for row in elements] == [row["implied"] for row in elements]
     assert (out / "paper_tables.csv").exists()
 
 

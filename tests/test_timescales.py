@@ -331,6 +331,48 @@ def test_audit_fragile_margin_is_four():
     assert audit.overall == "PASS"
 
 
+#: the two-qubit classes with a zero population
+_ZERO_POPULATION = ("fragile", "fragile2", "robust", "robust2")
+
+#: the audit margin of every non-vacuous pair, as a function of the layout's
+#: rates; None where every pair is VACUOUS
+_AUDIT_MARGINS = {
+    **{(cls, "2q-collective"): lambda rates: 4.0 for cls in ("fragile", "fragile2")},
+    **{(cls, "2q-collective"): None for cls in ("robust", "robust2")},
+    **{(cls, "2q-local-A"): lambda rates: 1.0 for cls in _ZERO_POPULATION},
+    **{
+        (cls, "2q-multi-local"): lambda rates: 1.0 + max(rates) / min(rates)
+        for cls in _ZERO_POPULATION
+    },
+    **{
+        ("w", layout): lambda rates: 1.0
+        for layout, (size, _) in SCENARIO_LAYOUTS.items()
+        if size == 3 and layout != "3q-collective"
+    },
+    ("w", "3q-collective"): None,
+}
+
+
+def test_audit_margins_are_constants_of_the_class_and_layout():
+    # at log-uniform rates in [0.01, 100], one per channel
+    rng = np.random.default_rng(18)
+    for (cls, layout), margin in _AUDIT_MARGINS.items():
+        for _ in range(5):
+            rates = (10.0 ** rng.uniform(-2.0, 2.0, len(SCENARIO_LAYOUTS[layout][1]))).tolist()
+            audit = audit_inequality(
+                build_report(draw_state(cls, rng), named_scenario(layout, rates))
+            )
+            case = (cls, layout, rates)
+            if margin is None:
+                assert audit.overall == "VACUOUS", case
+                continue
+            assert audit.overall == "PASS", case
+            for pair in audit.pairs:
+                if pair.verdict != "VACUOUS":
+                    want = margin(rates)
+                    assert abs(pair.margin - want) <= 1e-12 * want, (case, pair)
+
+
 def test_audit_vacuous_cases():
     rng = np.random.default_rng(6)
     robust = build_report(draw_state("robust", rng), named_scenario("2q-collective", 1.0))
@@ -481,8 +523,9 @@ def _kind_sets():
 
 
 def test_reduced_coherences_are_single_exponentials():
-    # every nonzero term of a reduced element decays with the same exponent,
-    # for every class under every set of one to three channel kinds
+    # every element of every matrix has at most two nonzero terms, they share
+    # one exponent bit for bit, and the element's tau is 1 / that exponent
+    # exactly, for every class under every set of one to three channel kinds
     rng = np.random.default_rng(13)
     checked = 0
     for size, chosen in _kind_sets():
@@ -496,8 +539,8 @@ def test_reduced_coherences_are_single_exponentials():
             rho0 = projector(spec).matrix
             report = build_report(spec, scenario)
             register = spec.register
-            singles = [(q,) for q in register]
-            for keep in singles + (list(combinations(register, 2)) if size == 3 else []):
+            for label, rows in report.coherence_taus.items():
+                keep = tuple(label)
                 rest = tuple(q for q in register if q not in keep)
                 index = subspace_index(keep, register)
                 other = subspace_index(rest, register)
@@ -506,16 +549,55 @@ def test_reduced_coherences_are_single_exponentials():
                         exponents[i, j]
                         for i in np.flatnonzero(index == a)
                         for j in np.flatnonzero(index == b)
-                        if other[i] == other[j] and abs(rho0[i, j]) > ZERO_FLOOR
+                        if other[i] == other[j] and rho0[i, j] != 0
                     ]
-                    if not terms:
-                        continue
-                    assert max(terms) - min(terms) <= 1e-12 * max(terms), (scenario.label, key)
-                    row = report.coherence_taus["".join(keep)][key]
+                    case = (scenario.label, cls.name, label, key)
+                    assert len(terms) <= 2 and len(set(terms)) <= 1, case
+                    if rows[key].decays:
+                        assert rows[key].tau == 1.0 / terms[0], case
+                        checked += 1
+    assert checked > 200
+    # each term of A's coherence, rho_13 and rho_24, is 8e-14, below the zero
+    # floor, while their sum is above it: the terms still give its exponent
+    a, d = math.sqrt(8e-14), 8e-14
+    spec = STATE_TYPES["generic"](a, math.sqrt(1.0 - 2.0 * a * a - d * d), a, d)
+    row = build_report(spec, named_scenario("2q-local-A", 1.0)).coherence_taus["A"]["rho_12"]
+    assert row.amplitude > ZERO_FLOOR
+    assert row.tau == 2.0
+
+
+def test_every_paper_class_but_generic_carries_each_pair_in_one_coherence():
+    # a pair with a zero population k has C = 2|rho_c|, the carrier c being
+    # (00, 11) when k is 01 or 10 and (01, 10) otherwise; dephasing moves no
+    # population, so C decays with the carrier's exponent and C**2 twice as fast
+    rng = np.random.default_rng(19)
+    decaying = 0
+    for layout, (size, kinds) in SCENARIO_LAYOUTS.items():
+        for cls in ("fragile", "fragile2", "robust", "robust2", "w", "ghz"):
+            if len(STATE_TYPES[cls].register) != size:
+                continue
+            for _ in range(3):
+                spec = draw_state(cls, rng)
+                scenario = named_scenario(layout, (10.0 ** rng.uniform(-1, 1, len(kinds))).tolist())
+                grid = default_grid(scenario)
+                report = build_report(spec, scenario, grid)
+                stack = reduced_stacks(sample_evolution(spec, scenario, grid), spec.register)
+                for label, row in report.concurrence_taus.items():
+                    pair = stack[label]
+                    zeros = np.flatnonzero(np.diagonal(pair[0]).real == 0)
+                    assert zeros.size, (cls, layout, label)
+                    c = concurrence_curve(pair)
+                    for k in zeros.tolist():
+                        (i, j), key = ((0, 3), "rho_14") if k in (1, 2) else ((1, 2), "rho_23")
+                        assert np.abs(c - 2.0 * np.abs(pair[:, i, j])).max() <= 2e-15
+                    carrier = report.coherence_taus[label][key]
+                    assert row.decays == carrier.decays, (cls, layout, label)
                     if row.decays:
-                        assert abs(row.tau * max(terms) - 1.0) <= 1e-12, (scenario.label, key)
-                    checked += 1
-    assert checked > 250
+                        assert abs(row.tau - carrier.tau) <= 1e-13 * carrier.tau
+                        squared = report.concurrence_sq_taus[label].tau
+                        assert abs(squared - carrier.tau / 2.0) <= 1e-13 * carrier.tau
+                        decaying += 1
+    assert decaying > 40
 
 
 def test_generic_under_collective_noise_never_fails():
