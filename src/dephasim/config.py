@@ -148,6 +148,8 @@ def _as_complex(raw: dict[str, str], key: str) -> complex:
         im_part = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError:
         raise ConfigValidationError(key, f"not a complex pair: {value!r}") from None
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise ConfigValidationError(key, f"must be finite, got {value!r}")
     return complex(re_part, im_part)
 
 

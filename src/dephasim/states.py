@@ -4,15 +4,17 @@ Two-qubit classes live in the basis |1..4> = |++>, |+->, |-+>, |-->; the
 three-qubit classes in |1..8> = |000> .. |111> (A the leftmost factor in
 both).  One table below defines the seven classes: each class's coefficient
 slots, the basis indices they sit on and its register; ``STATE_TYPES``
-indexes it by name.  ``analytic_factors`` builds the published elementwise
-decay factors at many times at once and ``analytic_evolved`` the state at one,
-an independent reference for the Kraus evolution in :mod:`dephasim.channels`.
-``check_density`` validates one density matrix or a stack of them.
+indexes it by name.  ``pure_matrices`` is the one outer product |v><v|, of
+one amplitude vector or a stack.  ``analytic_factors`` builds the published
+elementwise decay factors at many times at once and ``analytic_evolved`` the
+state at one, an independent reference for the Kraus evolution in
+:mod:`dephasim.channels`.  ``check_density`` validates one density matrix or a
+stack of them, so a stack of projectors times its factors is checked once.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, make_dataclass
+from dataclasses import dataclass, fields, make_dataclass
 from itertools import combinations
 from typing import ClassVar
 
@@ -77,7 +79,7 @@ class StateSpec:
 
     def amplitudes(self) -> np.ndarray:
         v = np.zeros(1 << len(self.register), dtype=complex)
-        v[list(self.support)] = astuple(self)
+        v[list(self.support)] = [getattr(self, f.name) for f in fields(self)]
         return v
 
 
@@ -138,10 +140,14 @@ def slots(cls: type[StateSpec]) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
+def pure_matrices(amplitudes: np.ndarray) -> np.ndarray:
+    """|v><v| of each amplitude vector on the last axis of `amplitudes`, unchecked."""
+    return amplitudes[..., :, None] * amplitudes[..., None, :].conj()
+
+
 def projector(spec: StateSpec) -> DensityMatrix:
     """Rank-1 density matrix of the pure state described by `spec`."""
-    v = spec.amplitudes()
-    rho = np.outer(v, v.conj())
+    rho = pure_matrices(spec.amplitudes())
     norm_sq = float(np.trace(rho).real)  # the trace DensityMatrix checks
     if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(f"coefficients are not normalized: sum |c|^2 = {norm_sq:.17g}")
@@ -153,23 +159,13 @@ def _local_factor(qubit: str, register: tuple[str, ...], g: float) -> np.ndarray
     return np.where(bits[:, None] != bits[None, :], g, 1.0)
 
 
-# Elementwise decay of a collectively dephased pair, indexed by the pair
+# Elementwise decay of a collectively dephased pair; `table` is indexed by the pair
 # subspace values (00, 01, 10, 11) of row and column.
-def _pair_table(g: float) -> np.ndarray:
-    g4 = g**4
-    return np.array(
-        [
-            [1.0, g, g, g4],
-            [g, 1.0, 1.0, g],
-            [g, 1.0, 1.0, g],
-            [g4, g, g, 1.0],
-        ]
-    )
-
-
 def _pair_factor(kind: PairCollective, register: tuple[str, ...], g: float) -> np.ndarray:
+    g4 = g**4
+    table = np.array([[1.0, g, g, g4], [g, 1.0, 1.0, g], [g, 1.0, 1.0, g], [g4, g, g, 1.0]])
     sub = subspace_index(kind.support, register)
-    return _pair_table(g)[sub[:, None], sub[None, :]]
+    return table[sub[:, None], sub[None, :]]
 
 
 def _triple_factor(g: float) -> np.ndarray:
@@ -216,8 +212,9 @@ def analytic_factors(scenario: NoiseScenario, register: tuple[str, ...], times) 
 
 def analytic_evolved(spec: StateSpec, scenario: NoiseScenario, t: float) -> DensityMatrix:
     """Closed-form state at time t, an independent reference for the operator-sum `evolve`."""
+    # checked once, as the result: the factors' diagonal is 1, so its trace is sum |c|^2
     factor = analytic_factors(scenario, spec.register, [t])[0]
-    return DensityMatrix(projector(spec).matrix * factor, spec.register)
+    return DensityMatrix(pure_matrices(spec.amplitudes()) * factor, spec.register)
 
 
 def reduced_stacks(stack: np.ndarray, register: tuple[str, ...]) -> dict[str, np.ndarray]:

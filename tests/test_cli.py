@@ -20,9 +20,10 @@ from dephasim.config import (
     state_from,
     sweep_from,
 )
-from dephasim.channels import PairCollective, TripleCollective
-from dephasim.presets import PAPER_MATRIX
-from dephasim.states import Fragile, WState
+from dephasim.channels import PairCollective, TripleCollective, evolve
+from dephasim.linalg import frobenius_distance
+from dephasim.presets import PAPER_MATRIX, draw_state, named_scenario
+from dephasim.states import STATE_TYPES, Fragile, WState, analytic_factors, projector
 from dephasim.svgplot import line_chart
 
 FRAGILE_CONF = """
@@ -267,6 +268,8 @@ def test_run_validation_failure_writes_nothing(tmp_path):
         ("run", "grid.t_max = 3.0", "grid.t_max = nan", "grid.t_max"),
         ("sweep", "mc.t = 1.0", "sweep.rate = nan", "sweep.rate"),
         ("verify", "mc.t = 1.0", "mc.t = nan", "mc.t"),
+        ("run", "state.b = 0, 0", "state.b = inf", "state.b: must be finite, got 'inf'"),
+        ("verify", "state.b = 0, 0", "state.b = 0, -inf", "state.b: must be finite"),
     ],
 )
 def test_non_finite_numbers_are_validation_errors(tmp_path, capsys, command, old, new, key):
@@ -573,6 +576,7 @@ def _paper_tables_with_a_fault(tmp_path, capsys):
     mismatches = [f for f in payload["failures"] if f.startswith("oracle mismatch: ")]
     assert len(mismatches) == 1 and mismatches[0].startswith("oracle mismatch: (w, 3q-collective, ")
     assert mismatches[0] in capsys.readouterr().err
+    return payload["oracle_checks"][FAULTY]
 
 
 def test_the_oracle_catches_a_fault_in_one_draw_of_the_evolution(tmp_path, capsys, monkeypatch):
@@ -587,6 +591,58 @@ def test_the_oracle_catches_a_fault_in_one_draw_of_the_evolution(tmp_path, capsy
 
     monkeypatch.setattr(cli, "evolve", perturbed)
     _paper_tables_with_a_fault(tmp_path, capsys)
+
+
+def test_a_nan_in_one_slice_of_the_evolution_fails_the_oracle(tmp_path, capsys, monkeypatch):
+    evolve = cli.evolve
+    combination = iter(range(len(PAPER_MATRIX)))
+
+    def poisoned(rho0, scenario, t):
+        out = evolve(rho0, scenario, t)
+        if next(combination) == FAULTY:
+            out[3, 4, 1, 2] = math.nan  # the last time slice of draw 3 only
+        return out
+
+    monkeypatch.setattr(cli, "evolve", poisoned)
+    assert math.isnan(_paper_tables_with_a_fault(tmp_path, capsys)["max_distance"])
+
+
+def _per_slice_oracle(cls, scenario, seed):
+    """The oracle written out draw by draw and slice by slice."""
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 2.0, 5)
+    rho0 = np.stack([projector(draw_state(cls, rng)).matrix for _ in range(10)])[:, None]
+    expected = rho0 * analytic_factors(scenario, STATE_TYPES[cls].register, times)
+    got = evolve(rho0, scenario, times[:, None, None])
+    shape = (-1, *rho0.shape[-2:])
+    return max(0.0, *map(frobenius_distance, expected.reshape(shape), got.reshape(shape)))
+
+
+def test_the_stacked_oracle_is_the_per_slice_formula_bit_for_bit():
+    for idx, (cls, scen_name) in enumerate(PAPER_MATRIX):
+        scenario = named_scenario(scen_name, 1.0)
+        seed = 1000 + idx  # the seeds paper-tables uses
+        assert cli._oracle_check(cls, scenario, seed) == _per_slice_oracle(cls, scenario, seed)
+
+
+@pytest.mark.parametrize(
+    "a4, message",
+    [
+        (math.sqrt(0.4096 + 1e-9), "trace is 1.000000001"),  # sum |c|^2 = 1 + 1e-9
+        (math.nan, "matrix has a non-finite entry"),
+    ],
+    ids=["norm-1e-9", "nan"],
+)
+def test_the_stacked_oracle_refuses_a_draw_that_is_not_a_state(monkeypatch, a4, message):
+    draws = iter(range(10))
+
+    def drawn(cls, rng):
+        spec = draw_state(cls, rng)
+        return WState(0.6, 0.48, a4) if next(draws) == 3 else spec
+
+    monkeypatch.setattr(cli, "draw_state", drawn)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli._oracle_check("w", named_scenario("3q-local-A", 1.0), seed=1000)
 
 
 def test_the_oracle_catches_a_fault_in_the_closed_form(tmp_path, capsys, monkeypatch):

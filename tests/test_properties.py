@@ -281,6 +281,70 @@ def test_sweep_writes_one_row_per_pair_verdict_or_nothing(case):
     assert verdicts <= {"PASS", "VACUOUS", "FAIL"} and ("FAIL" in verdicts) == (code == 1)
 
 
+#: the smoke config of CI: W under local(A) + pair(BC), read by run, verify and sweep
+CI_CONF = [
+    ("state.class", "w"),
+    ("state.a1", "0.6"),
+    ("state.a2", "0.48"),
+    ("state.a4", "0.64"),
+    ("scenario.register", "3"),
+    ("scenario.channels[0].kind", "local"),
+    ("scenario.channels[0].qubits", "A"),
+    ("scenario.channels[0].rate", "1.0"),
+    ("scenario.channels[1].kind", "pair_collective"),
+    ("scenario.channels[1].qubits", "B, C"),
+    ("scenario.channels[1].rate", "0.5"),
+    ("grid.samples", "200"),
+    ("mc.seed", "7"),
+    ("mc.trajectories", "2000"),
+    ("sweep.draws", "5"),
+    ("sweep.classes", "w, fragile"),
+]
+#: values a fuzzed key may take: non-finite, signed zero, overflowing, empty,
+#: junk and non-ASCII (a Devanagari digit is a digit to int() and float());
+#: a size key takes one of these or one of its own small values
+FUZZ_TOKENS = ("nan", "inf", "-inf", "-0", "1e400", "", "junk", "0x1", "é", "π", "१", ",", "-1")
+SIZE_KEYS = {"grid.samples": ("8", "9"), "mc.trajectories": ("1", "3"), "sweep.draws": ("1",)}
+FUZZ_KEYS = ("bogus", "state.a3", "state.", "grid.t_min", "mc.trajectories.n", "ünknown")
+FUZZ_EXITS = {"run": {0, 1, 2, 3}, "verify": {0, 1, 2, 3, 5}, "sweep": {0, 1, 2, 3}}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """CI_CONF with small sizes, then lines dropped, duplicated, added or given a fuzzed value.
+
+    A size key is never dropped: its default is large.
+    """
+    lines = [(key, draw(st.sampled_from(SIZE_KEYS.get(key, (value,))))) for key, value in CI_CONF]
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("drop", "duplicate", "unknown", "value")))
+        index = draw(st.integers(0, len(lines) - 1))
+        key, value = lines[index]
+        if op == "drop" and key not in SIZE_KEYS:
+            del lines[index]
+        elif op == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), (key, value))
+        elif op == "unknown":
+            lines.insert(index, (draw(st.sampled_from(FUZZ_KEYS)), draw(st.sampled_from(FUZZ_TOKENS))))
+        elif op == "value":
+            lines[index] = (key, draw(st.sampled_from(SIZE_KEYS.get(key, ()) + FUZZ_TOKENS)))
+    return "".join(f"{key} = {value}\n" for key, value in lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(fuzzed_configs())
+def test_a_fuzzed_config_ends_in_a_result_or_a_named_error_and_no_file(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = Path(tmp) / "c.conf"
+        conf.write_text(text, encoding="utf-8")
+        for command, exits in FUZZ_EXITS.items():
+            out = Path(tmp) / command
+            code = _cli(command, "--config", str(conf), "--out", str(out))  # raises nothing
+            assert code in exits, (command, text)
+            if code in (2, 3, 5):
+                assert not out.exists(), (command, text)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(cases(), st.floats(-100.0, 100.0).map(lambda x: 10.0**x))
 def test_evolution_stays_a_state(case, t):

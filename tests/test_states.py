@@ -18,6 +18,7 @@ from dephasim.states import (
     analytic_factors,
     check_density,
     projector,
+    pure_matrices,
     reduced_stacks,
     slots,
 )
@@ -103,6 +104,21 @@ def test_projector_is_idempotent():
 def test_projector_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         projector(Fragile(1.0, 1.0, 1.0))
+
+
+def test_pure_matrices_is_each_vector_outer_product_bit_for_bit():
+    vectors = np.stack([draw_state(cls, RNG).amplitudes() for cls in ("w", "ghz", "w")])
+    stack = pure_matrices(vectors)
+    for v, rho in zip(vectors, stack):
+        assert np.array_equal(rho, np.outer(v, v.conj()))
+    spec = draw_state("w", RNG)
+    assert np.array_equal(projector(spec).matrix, pure_matrices(spec.amplitudes()))
+
+
+def test_analytic_evolved_checks_only_its_result():
+    # the closed form's diagonal is the projector's, so its trace names sum |c|^2
+    with pytest.raises(ValueError, match=r"^trace is 2\+0j, expected 1$"):
+        analytic_evolved(WState(1, 1, 0), named_scenario("3q-local-A", 1.0), 1.0)
 
 
 def test_density_matrix_validation():
