@@ -34,7 +34,7 @@ for spec in (Fragile(s, 0.0, s), Robust(0.0, s, -s)):
     print(f"{spec.name:8s} C(0) = {c[0]:.4f}   C(1) = {c[21]:.4f}   C(3) = {c[-1]:.4f}")
 
 print("\nfragile timescales (rate 1):")
-report = build_report(Fragile(0.6, 0.5, np.sqrt(1 - 0.61)), scenario, grid)
+report = build_report(Fragile(0.6, 0.5, np.sqrt(1 - 0.61)), scenario)
 for key, row in report.coherence_taus["AB"].items():
     if row.decays:
         print(f"  {key}: tau = {row.tau:.3f}")

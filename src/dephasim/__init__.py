@@ -42,8 +42,11 @@ from .presets import (
     PAPER_MATRIX,
     PAPER_TAUS,
     SCENARIO_LAYOUTS,
+    PaperTau,
     draw_state,
+    measure_paper_taus,
     named_scenario,
+    paper_tau_table,
 )
 from .states import (
     DensityMatrix,
@@ -62,7 +65,6 @@ from .timescales import (
     AuditResult,
     FitResult,
     PairAudit,
-    PaperTau,
     TimeGrid,
     Timescale,
     TimescaleReport,
@@ -71,8 +73,6 @@ from .timescales import (
     build_report,
     default_grid,
     fit_exponential,
-    measure_paper_taus,
-    paper_tau_table,
     sample_evolution,
 )
 

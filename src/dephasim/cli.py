@@ -43,7 +43,14 @@ from .entanglement import concurrence_curve, entanglement_of_formation
 from .errors import EquivalenceNotEstablishedError
 from .linalg import UPPER
 from .montecarlo import ALPHA, ChannelComparison, compare_to_channel
-from .presets import PAPER_MATRIX, draw_state, named_scenario
+from .presets import (
+    PAPER_MATRIX,
+    PaperTau,
+    draw_state,
+    measure_paper_taus,
+    named_scenario,
+    paper_tau_table,
+)
 from .states import (
     STATE_TYPES,
     StateSpec,
@@ -59,7 +66,6 @@ from .timescales import (
     TimescaleReport,
     audit_inequality,
     build_report,
-    measure_paper_taus,
     sample_evolution,
 )
 
@@ -115,9 +121,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        if math.isinf(x):
-            return "inf"
-        return x
+        return x if math.isfinite(x) else repr(x)  # the text of its CSV cell
     return obj
 
 
@@ -236,7 +240,9 @@ _TIMESCALE_HEADER = [
 _AUDIT_HEADER = ["pair", "verdict", "tau_dis", "tau_bound", "margin"]
 
 
-def _timescale_rows(report: TimescaleReport, convention: str) -> list[dict]:
+def _timescale_rows(
+    report: TimescaleReport, convention: str, paper: Sequence[PaperTau]
+) -> list[dict]:
     # the full register's rows are "element" rows named "rho_12", a reduced
     # matrix's are "reduced" rows named "A:rho_12"
     full = "".join(report.register)
@@ -254,7 +260,7 @@ def _timescale_rows(report: TimescaleReport, convention: str) -> list[dict]:
         for kind, prefix, taus in groups
         for key, row in taus.items()
     ]
-    measured = measure_paper_taus(report)
+    measured = measure_paper_taus(report, paper)
     return rows + [
         {
             **blank,
@@ -265,7 +271,7 @@ def _timescale_rows(report: TimescaleReport, convention: str) -> list[dict]:
             "convention": entry.convention,
             "implied": entry.implied,
         }
-        for entry in report.paper_taus or ()
+        for entry in paper
     ]
 
 
@@ -313,11 +319,9 @@ def cmd_run(args, raw, out_dir: Path) -> int:
     files: dict[str, str] = {}
     overall = None
     if "timescales" in opts.outputs or "audit" in opts.outputs:
-        # the report brackets its crossings on its own default grid, so no
-        # time depends on grid.*: the output grid sets only what is sampled
         report = build_report(spec, scenario)
         if "timescales" in opts.outputs:
-            rows = _timescale_rows(report, opts.convention)
+            rows = _timescale_rows(report, opts.convention, paper_tau_table(spec.name, scenario))
             payload = {"scenario": report.scenario_label, "fits": rows}
             files[f"timescales.{fmt}"] = _table(fmt, _columns(_TIMESCALE_HEADER, rows), payload)
         if "audit" in opts.outputs:
@@ -428,8 +432,9 @@ def cmd_paper_tables(args, raw, out_dir: Path) -> int:
 
         spec = draw_state(cls, np.random.default_rng(2000 + idx))
         report = build_report(spec, scenario)
-        measured = measure_paper_taus(report)
-        for entry in report.paper_taus or ():
+        paper = paper_tau_table(cls, scenario)
+        measured = measure_paper_taus(report, paper)
+        for entry in paper:
             got = measured.get(entry.label)
             want = entry.implied
             ok = got is not None and abs(got - want) <= ORACLE_TOL * want

@@ -1,17 +1,23 @@
 """Named noise scenarios, random coefficient draws and the published timescales.
 
 The published values form one table keyed by (state class, scenario layout);
-``scenario_layout`` finds the layout any relabelled scenario stands for.
+``scenario_layout`` finds the layout any relabelled scenario stands for,
+``paper_tau_table`` reads a scenario's rows at its rates, and
+``measure_paper_taus`` reads each row's counterpart off a timescale report.
+A report itself knows nothing of them: only the commands that print the
+published values look them up.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .channels import Local, NoiseScenario, PairCollective, TripleCollective
 from .states import STATE_TYPES, StateSpec, slots
+from .timescales import TimescaleReport
 
 #: channel layout of each named scenario (register size, channel kinds).
 SCENARIO_LAYOUTS: dict[str, tuple[int, tuple]] = {
@@ -120,3 +126,68 @@ def scenario_layout(scenario: NoiseScenario) -> Optional[tuple[str, tuple[float,
         if size == scenario.register_size and sorted(type(k).__name__ for k in layout) == kinds:
             return name, tuple(min(rates[t]) for t in dict.fromkeys(map(type, layout)))
     return None
+
+
+@dataclass(frozen=True)
+class PaperTau:
+    """One published timescale with the e-folding time its decay factors imply.
+
+    `printed` is the transcribed value; `implied` is the e-folding time
+    of the corresponding decay factor (the two differ where the source quotes
+    an additive composition of rates, and for the single-qubit entries).
+    `convention` states which measured quantity reproduces the value:
+    "element" for coherence magnitudes, "C" / "C2" for concurrence.
+    """
+
+    label: str
+    printed: float
+    convention: str
+    implied: float
+
+
+def paper_tau_table(state_class: str, scenario: NoiseScenario) -> tuple[PaperTau, ...]:
+    """Published timescales for a state class under a scenario; () where none are published."""
+    cls = {"fragile2": "fragile", "robust2": "robust"}.get(state_class, state_class)
+    layout = scenario_layout(scenario)
+    if layout is None:
+        return ()
+    name, rates = layout
+    return tuple(
+        PaperTau(
+            label,
+            sum(a / r for a, r in zip(printed, rates)),
+            convention,
+            implied / sum(w * r for w, r in zip(weights, rates)),
+        )
+        for label, convention, printed, implied, weights in PAPER_TAUS.get((cls, name), ())
+    )
+
+
+#: the scale each published label is measured at, as qubits per matrix
+#: ("dis": the concurrence in the entry's convention), and which of that
+#: scale's decaying taus it quotes.
+_PAPER_SCALES = {
+    "3-dec": (3, max),
+    "2-dec-slow": (2, max),
+    "2-dec-fast": (2, min),
+    "2-dec": (2, max),
+    "1-dec": (1, max),
+    "dis": ("dis", max),
+}
+
+
+def measure_paper_taus(
+    report: TimescaleReport, entries: Sequence[PaperTau]
+) -> dict[str, Optional[float]]:
+    """Measured counterpart in the report of each published timescale of `entries`."""
+    out: dict[str, Optional[float]] = {}
+    for entry in entries:
+        scale, pick = _PAPER_SCALES[entry.label]
+        if scale == "dis":
+            c = entry.convention == "C"
+            groups = [report.concurrence_taus if c else report.concurrence_sq_taus]
+        else:
+            groups = [rows for label, rows in report.coherence_taus.items() if len(label) == scale]
+        taus = [row.tau for rows in groups for row in rows.values() if row.decays]
+        out[entry.label] = pick(taus) if taus else None
+    return out

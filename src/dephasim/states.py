@@ -147,44 +147,32 @@ def pure_matrices(amplitudes: np.ndarray) -> np.ndarray:
 
 def projector(spec: StateSpec) -> DensityMatrix:
     """Rank-1 density matrix of the pure state described by `spec`."""
-    rho = pure_matrices(spec.amplitudes())
+    amplitudes = spec.amplitudes()
+    if not np.isfinite(amplitudes).all():  # refused before the outer product can warn
+        raise ValueError("coefficients must be finite")
+    rho = pure_matrices(amplitudes)
     norm_sq = float(np.trace(rho).real)  # the trace DensityMatrix checks
     if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(f"coefficients are not normalized: sum |c|^2 = {norm_sq:.17g}")
     return DensityMatrix(rho, spec.register)
 
 
-def _local_factor(qubit: str, register: tuple[str, ...], g: float) -> np.ndarray:
-    bits = subspace_index((qubit,), register)
-    return np.where(bits[:, None] != bits[None, :], g, 1.0)
-
-
-# Elementwise decay of a collectively dephased pair; `table` is indexed by the pair
-# subspace values (00, 01, 10, 11) of row and column.
-def _pair_factor(kind: PairCollective, register: tuple[str, ...], g: float) -> np.ndarray:
-    g4 = g**4
-    table = np.array([[1.0, g, g, g4], [g, 1.0, 1.0, g], [g, 1.0, 1.0, g], [g4, g, g, 1.0]])
-    sub = subspace_index(kind.support, register)
-    return table[sub[:, None], sub[None, :]]
-
-
-def _triple_factor(g: float) -> np.ndarray:
-    idx = np.arange(8)
-    corner = (idx == 0) | (idx == 7)
-    factor = np.ones((8, 8))
-    factor[corner[:, None] ^ corner[None, :]] = g
-    factor[0, 7] = factor[7, 0] = g**4
-    return factor
-
-
 def _channel_factor(kind: ChannelKind, register: tuple[str, ...], g: float) -> np.ndarray:
+    """Elementwise decay factor of one channel at g = gamma(rate, t).
+
+    Row and column are read by their values on the channel's support.  A
+    local channel gives g between its qubit's two values.  A collective one
+    gives g where exactly one end is a corner of the support (all 0 or all 1)
+    and g**4 between the two corners.  Every other factor is 1.
+    """
+    if not isinstance(kind, (Local, PairCollective, TripleCollective)):
+        raise UnsupportedScenarioError(f"no closed-form factors for channel {kind!r}")
+    sub = subspace_index(kind.support, register)
     if isinstance(kind, Local):
-        return _local_factor(kind.qubit, register, g)
-    if isinstance(kind, PairCollective):
-        return _pair_factor(kind, register, g)
-    if isinstance(kind, TripleCollective):
-        return _triple_factor(g)
-    raise UnsupportedScenarioError(f"no closed-form factors for channel {kind!r}")
+        return np.where(sub[:, None] != sub[None, :], g, 1.0)
+    # the corners at -1 and 1, the rest at 0: a step of 1 takes g, a step of 2 g**4
+    end = (sub == (1 << len(kind.support)) - 1).astype(int) - (sub == 0)
+    return np.array([1.0, g, g**4])[abs(end[:, None] - end[None, :])]
 
 
 def analytic_factors(scenario: NoiseScenario, register: tuple[str, ...], times) -> np.ndarray:

@@ -8,9 +8,12 @@ evolution.  ``build_report`` reduces the sampled evolution, rho0 * [E = 0],
 E and a count on rho0's nonzero terms in one pass, reads every matrix's
 coherence times from the last two, takes every pair's curve and limit in one
 concurrence call, and refines all of its crossings in one batched Illinois
-regula falsi.  The audit checks, pair by pair, that entanglement never
-outlives the slowest decaying coherence at any scale.  ``fit_exponential``
-is kept as an independent cross-check of the exact values on sampled curves.
+regula falsi.  A report depends on the state and the scenario alone: its
+crossings are bracketed on ``default_grid``, and the published values are
+looked up and measured in :mod:`dephasim.presets`.  The audit checks, pair
+by pair, that entanglement never outlives the slowest decaying coherence at
+any scale.  ``fit_exponential`` is kept as an independent cross-check of the
+exact values on sampled curves.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ import numpy as np
 
 from .channels import SCALE_RANGE, NoiseScenario, evolve
 from .entanglement import concurrence_curve
-from .errors import UnsupportedScenarioError
 from .linalg import UPPER, partial_trace
-from .presets import PAPER_TAUS, scenario_layout
 from .states import StateSpec, projector, reduced_stacks
 
 #: magnitudes at or below this are treated as exact zeros.
@@ -148,44 +149,6 @@ def fit_exponential(traj: Trajectory) -> FitResult:
 
 
 @dataclass(frozen=True)
-class PaperTau:
-    """One published timescale with the e-folding time its decay factors imply.
-
-    `printed` is the transcribed value; `implied` is the e-folding time
-    of the corresponding decay factor (the two differ where the source quotes
-    an additive composition of rates, and for the single-qubit entries).
-    `convention` states which measured quantity reproduces the value:
-    "element" for coherence magnitudes, "C" / "C2" for concurrence.
-    """
-
-    label: str
-    printed: float
-    convention: str
-    implied: float
-
-
-def paper_tau_table(state_class: str, scenario: NoiseScenario) -> tuple[PaperTau, ...]:
-    """Published timescales for a state class under a recognized scenario."""
-    cls = {"fragile2": "fragile", "robust2": "robust"}.get(state_class, state_class)
-    layout = scenario_layout(scenario)
-    rows = PAPER_TAUS.get((cls, layout[0])) if layout else None
-    if rows is None:
-        raise UnsupportedScenarioError(
-            f"no published timescales for class {state_class!r} under {scenario.label!r}"
-        )
-    rates = layout[1]
-    return tuple(
-        PaperTau(
-            label,
-            sum(a / r for a, r in zip(printed, rates)),
-            convention,
-            implied / sum(w * r for w, r in zip(weights, rates)),
-        )
-        for label, convention, printed, implied, weights in rows
-    )
-
-
-@dataclass(frozen=True)
 class Timescale:
     """Exact e-folding time of a curve that starts at `amplitude`; inf if it does not decay.
 
@@ -218,7 +181,6 @@ class TimescaleReport:
     coherence_taus: dict[str, dict[str, Timescale]]
     concurrence_taus: dict[str, Timescale]
     concurrence_sq_taus: dict[str, Timescale]
-    paper_taus: Optional[tuple[PaperTau, ...]]
 
 
 def _coherence_taus(rho0: np.ndarray, exponents: np.ndarray) -> dict[str, Timescale]:
@@ -305,21 +267,18 @@ def sample_evolution(spec: StateSpec, scenario: NoiseScenario, grid: TimeGrid) -
     return evolve(projector(spec).matrix, scenario, grid.times[:, None, None])
 
 
-def build_report(
-    spec: StateSpec, scenario: NoiseScenario, grid: Optional[TimeGrid] = None
-) -> TimescaleReport:
-    """Exact timescales of every coherence and concurrence, with the paper's values.
+def build_report(spec: StateSpec, scenario: NoiseScenario) -> TimescaleReport:
+    """Exact timescales of every coherence and concurrence of `spec` under `scenario`.
 
     Coherence taus are read from E.  Each pair's concurrence taus are found
-    on the exact curve, bracketed by the curve sampled over `grid`.
+    on the exact curve, bracketed by the curve sampled over the default grid.
     """
     if len(spec.register) != scenario.register_size:
         raise ValueError(
             f"state register {spec.register} does not match a "
             f"{scenario.register_size}-qubit scenario"
         )
-    if grid is None:
-        grid = default_grid(scenario)
+    grid = default_grid(scenario)
     register = spec.register
     stack = sample_evolution(spec, scenario, grid)
     rho0 = stack[0]  # every grid starts at t = 0
@@ -364,11 +323,6 @@ def build_report(
         for power in (1, 2)
     )
 
-    try:
-        paper = paper_tau_table(spec.name, scenario)
-    except UnsupportedScenarioError:
-        paper = None
-
     return TimescaleReport(
         state_class=spec.name,
         scenario_label=scenario.label,
@@ -376,45 +330,12 @@ def build_report(
         coherence_taus=coherence_taus,
         concurrence_taus=concurrence_taus,
         concurrence_sq_taus=concurrence_sq_taus,
-        paper_taus=paper,
     )
-
-
-#: the scale each published label is measured at, as qubits per matrix
-#: ("dis": the concurrence in the entry's convention), and which of that
-#: scale's decaying taus it quotes.
-_PAPER_SCALES = {
-    "3-dec": (3, max),
-    "2-dec-slow": (2, max),
-    "2-dec-fast": (2, min),
-    "2-dec": (2, max),
-    "1-dec": (1, max),
-    "dis": ("dis", max),
-}
 
 
 def _decaying(taus: dict[str, Timescale]) -> list[float]:
     """Taus of the rows that decay."""
     return [row.tau for row in taus.values() if row.decays]
-
-
-def measure_paper_taus(report: TimescaleReport) -> dict[str, Optional[float]]:
-    """Measured counterpart of each published timescale label in the report."""
-    out: dict[str, Optional[float]] = {}
-    for entry in report.paper_taus or ():
-        scale, pick = _PAPER_SCALES[entry.label]
-        if scale == "dis":
-            c = entry.convention == "C"
-            taus = _decaying(report.concurrence_taus if c else report.concurrence_sq_taus)
-        else:
-            taus = [
-                tau
-                for label, rows in report.coherence_taus.items()
-                if len(label) == scale
-                for tau in _decaying(rows)
-            ]
-        out[entry.label] = pick(taus) if taus else None
-    return out
 
 
 @dataclass(frozen=True)

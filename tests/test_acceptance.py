@@ -23,7 +23,13 @@ from dephasim.cli import main
 from dephasim.entanglement import concurrence_curve
 from dephasim.linalg import frobenius_distance
 from dephasim.montecarlo import TrajectoryConfig, compare_to_channel, simulate_statistics
-from dephasim.presets import PAPER_MATRIX, draw_state, named_scenario
+from dephasim.presets import (
+    PAPER_MATRIX,
+    draw_state,
+    measure_paper_taus,
+    named_scenario,
+    paper_tau_table,
+)
 from dephasim.states import (
     Fragile,
     GenericPure,
@@ -37,7 +43,6 @@ from dephasim.timescales import (
     TimeGrid,
     audit_inequality,
     build_report,
-    measure_paper_taus,
 )
 
 GHZ_SCENARIOS = (
@@ -142,7 +147,7 @@ def test_criterion_06_fitted_timescales():
     for cls, scen_name in PAPER_MATRIX:
         scenario = named_scenario(scen_name, 1.0)
         spec = draw_state(cls, rng)
-        report = build_report(spec, scenario, TimeGrid(3.0, 64))
+        report = build_report(spec, scenario)
         rho0 = projector(spec).matrix
         ref = analytic_evolved(spec, scenario, 1.0).matrix
         dim = rho0.shape[0]
@@ -165,8 +170,9 @@ def test_criterion_06_fitted_timescales():
         ("ghz", "3q-collective", "3-dec"): 0.5,
     }
     for (cls, scen_name, label), expected in named.items():
-        report = build_report(draw_state(cls, rng), named_scenario(scen_name, 1.0))
-        got = measure_paper_taus(report)[label]
+        scenario = named_scenario(scen_name, 1.0)
+        report = build_report(draw_state(cls, rng), scenario)
+        got = measure_paper_taus(report, paper_tau_table(cls, scenario))[label]
         if got is None or abs(got - expected) > 1e-12 * expected:
             ok = False
             detail.append(f"{cls}/{scen_name}/{label}={got}")

@@ -604,7 +604,13 @@ def test_a_nan_in_one_slice_of_the_evolution_fails_the_oracle(tmp_path, capsys, 
         return out
 
     monkeypatch.setattr(cli, "evolve", poisoned)
-    assert math.isnan(_paper_tables_with_a_fault(tmp_path, capsys)["max_distance"])
+    assert _paper_tables_with_a_fault(tmp_path, capsys)["max_distance"] == "nan"
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    # the NaN is written as its CSV text, so the file is strict JSON
+    json.loads((tmp_path / "tables" / "paper_tables.json").read_text(), parse_constant=refuse)
 
 
 def _per_slice_oracle(cls, scenario, seed):

@@ -4,9 +4,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dephasim.channels import Local, NoiseScenario, PairCollective, evolve, gamma
+from dephasim.channels import Local, NoiseScenario, PairCollective, TripleCollective, evolve, gamma
 from dephasim.errors import UnsupportedScenarioError
-from dephasim.linalg import QUBITS, frobenius_distance, partial_trace
+from dephasim.linalg import QUBITS, frobenius_distance, partial_trace, subspace_index
 from dephasim.presets import PAPER_MATRIX, draw_state, named_scenario
 from dephasim.states import (
     STATE_TYPES,
@@ -106,6 +106,13 @@ def test_projector_rejects_unnormalized():
         projector(Fragile(1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+def test_projector_refuses_a_non_finite_coefficient_before_its_outer_product(bad):
+    # inf * 0 in the outer product would warn, an error under this suite's filterwarnings
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        projector(WState(bad, 0.48, 0.64))
+
+
 def test_pure_matrices_is_each_vector_outer_product_bit_for_bit():
     vectors = np.stack([draw_state(cls, RNG).amplitudes() for cls in ("w", "ghz", "w")])
     stack = pure_matrices(vectors)
@@ -166,6 +173,53 @@ def test_analytic_factors_are_the_closed_form_at_every_oracle_time():
         for t, factor in zip(times, factors):
             expected = analytic_evolved(spec, scenario, t).matrix
             assert np.array_equal(projector(spec).matrix * factor, expected), (cls, scen_name, t)
+
+
+def _two_table_factor(kind, register, g):
+    """One channel's closed-form factor with the collective rule written as two tables."""
+    if isinstance(kind, Local):
+        bits = subspace_index(kind.support, register)
+        return np.where(bits[:, None] != bits[None, :], g, 1.0)
+    if isinstance(kind, PairCollective):
+        g4 = g**4
+        table = np.array([[1.0, g, g, g4], [g, 1.0, 1.0, g], [g, 1.0, 1.0, g], [g4, g, g, 1.0]])
+        sub = subspace_index(kind.support, register)
+        return table[sub[:, None], sub[None, :]]
+    corner = (np.arange(8) == 0) | (np.arange(8) == 7)
+    factor = np.ones((8, 8))
+    factor[corner[:, None] ^ corner[None, :]] = g
+    factor[0, 7] = factor[7, 0] = g**4
+    return factor
+
+
+def test_one_collective_rule_is_the_pair_and_triple_tables_bit_for_bit():
+    # every layout of disjoint supports on two and three qubits, at random rates and times
+    rng = np.random.default_rng(35)
+    kinds = {
+        2: [Local("A"), Local("B"), PairCollective("A", "B")],
+        3: [Local(q) for q in "ABC"]
+        + [PairCollective(*p) for p in ("AB", "AC", "BC")]
+        + [TripleCollective()],
+    }
+    layouts = [
+        (size, chosen)
+        for size, available in kinds.items()
+        for n in (1, 2, 3)
+        for chosen in combinations(available, n)
+        if len({q for kind in chosen for q in kind.support}) == sum(len(k.support) for k in chosen)
+    ]
+    assert len(layouts) == 18
+    for size, chosen in layouts:
+        register = QUBITS[:size]
+        for _ in range(5):
+            scenario = NoiseScenario(size, tuple(zip(chosen, rng.uniform(0.1, 10.0, size=3))))
+            times = [0.0, *rng.uniform(0.0, 3.0, size=6)]
+            expected = np.ones((len(times), 1 << size, 1 << size))
+            for factor, t in zip(expected, times):
+                for kind, rate in scenario.channels:
+                    factor *= _two_table_factor(kind, register, gamma(rate, t))
+            got = analytic_factors(scenario, register, times)
+            assert got.tobytes() == expected.tobytes(), scenario.label
 
 
 def test_analytic_fragile_collective_factors():

@@ -12,14 +12,15 @@ from dephasim.channels import (
     evolve,
 )
 from dephasim.entanglement import concurrence_curve
-from dephasim.errors import UnsupportedScenarioError
 from dephasim.linalg import partial_trace, subspace_index
 from dephasim.presets import (
     PAPER_MATRIX,
     PAPER_TAUS,
     SCENARIO_LAYOUTS,
     draw_state,
+    measure_paper_taus,
     named_scenario,
+    paper_tau_table,
 )
 from dephasim.states import (
     STATE_TYPES,
@@ -37,8 +38,6 @@ from dephasim.timescales import (
     build_report,
     default_grid,
     fit_exponential,
-    measure_paper_taus,
-    paper_tau_table,
     sample_evolution,
 )
 
@@ -207,18 +206,15 @@ def test_paper_tau_table_ghz():
 
 
 def test_paper_tau_table_rejects_unknown_pairs():
-    with pytest.raises(UnsupportedScenarioError):
-        paper_tau_table("fragile", named_scenario("2q-local-A", 1.0))
-    with pytest.raises(UnsupportedScenarioError):
-        paper_tau_table("generic", named_scenario("2q-collective", 1.0))
+    assert paper_tau_table("fragile", named_scenario("2q-local-A", 1.0)) == ()
+    assert paper_tau_table("generic", named_scenario("2q-collective", 1.0)) == ()
     rates_differ = NoiseScenario(
         3, ((Local("A"), 1.0), (Local("B"), 2.0), (Local("C"), 1.0))
     )
     overlapping = NoiseScenario(3, ((Local("A"), 1.0), (Local("B"), 1.0)), allow_overlap=True)
     idle_pair = named_scenario("3q-local-A-pair-BC", (1.0, 0.0))
     for scenario in (rates_differ, overlapping, idle_pair):
-        with pytest.raises(UnsupportedScenarioError):
-            paper_tau_table("w", scenario)
+        assert paper_tau_table("w", scenario) == ()
 
 
 def test_paper_matrix_keeps_its_order():
@@ -290,8 +286,9 @@ def test_report_fits_match_factor_implied_taus():
     for cls, scen_name in PAPER_MATRIX:
         scenario = named_scenario(scen_name, 1.0)
         report = build_report(draw_state(cls, rng), scenario)
-        measured = measure_paper_taus(report)
-        for entry in report.paper_taus:
+        paper = paper_tau_table(cls, scenario)
+        measured = measure_paper_taus(report, paper)
+        for entry in paper:
             got = measured[entry.label]
             assert got is not None, (cls, scen_name, entry.label)
             assert abs(got - entry.implied) <= 1e-12 * entry.implied
@@ -434,7 +431,7 @@ def test_fits_on_sampled_curves_cross_check_the_exact_taus():
         scenario = named_scenario(scen_name, 1.0)
         spec = draw_state(cls, rng)
         grid = default_grid(scenario)
-        report = build_report(spec, scenario, grid)
+        report = build_report(spec, scenario)
         stack = sample_evolution(spec, scenario, grid)
         reduced = reduced_stacks(stack, spec.register)
         for group, key, row in _all_rows(report):
@@ -474,6 +471,13 @@ def test_disentanglement_time_sits_on_the_level():
     assert checked > 30
 
 
+def _report_on(spec, scenario, grid):
+    """`build_report` with its crossings bracketed on `grid` instead of the default grid."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timescales, "default_grid", lambda scenario: grid)
+        return build_report(spec, scenario)
+
+
 def test_taus_do_not_depend_on_the_grid():
     # a coarse short grid needs the doubling past t_max; a fine one brackets
     # tightly; on a long one every sample after t = 0 is below the level
@@ -481,9 +485,9 @@ def test_taus_do_not_depend_on_the_grid():
     for cls, scen_name in PAPER_MATRIX:
         scenario = named_scenario(scen_name, 1.0)
         spec = draw_state(cls, rng)
-        reports = [
-            build_report(spec, scenario, grid)
-            for grid in (None, TimeGrid(0.3, 8), TimeGrid(3.0, 2000), TimeGrid(1000.0, 64))
+        reports = [build_report(spec, scenario)] + [
+            _report_on(spec, scenario, grid)
+            for grid in (TimeGrid(0.3, 8), TimeGrid(3.0, 2000), TimeGrid(1000.0, 64))
         ]
         base = _all_rows(reports[0])
         for other in reports[1:]:
@@ -505,7 +509,7 @@ def test_tiny_concurrence_drops_are_grid_independent_to_their_roundoff():
             continue
         tol = 1e-12 + 1e-14 / (row.amplitude - row.limit)
         for grid in (TimeGrid(0.3, 8), TimeGrid(3.0, 500)):
-            again = build_report(spec, scenario, grid).concurrence_taus["AB"]
+            again = _report_on(spec, scenario, grid).concurrence_taus["AB"]
             assert abs(again.tau - row.tau) <= tol * row.tau
 
 
@@ -580,7 +584,7 @@ def test_every_paper_class_but_generic_carries_each_pair_in_one_coherence():
                 spec = draw_state(cls, rng)
                 scenario = named_scenario(layout, (10.0 ** rng.uniform(-1, 1, len(kinds))).tolist())
                 grid = default_grid(scenario)
-                report = build_report(spec, scenario, grid)
+                report = build_report(spec, scenario)
                 stack = reduced_stacks(sample_evolution(spec, scenario, grid), spec.register)
                 for label, row in report.concurrence_taus.items():
                     pair = stack[label]
@@ -625,7 +629,7 @@ def test_a_crossing_on_a_grid_sample_is_that_sample():
 
 def _crossing_jobs(spec, scenario, grid):
     """Every crossing a report refines, as (pair, level, sampled C), and the tau it reports."""
-    report = build_report(spec, scenario, grid)
+    report = _report_on(spec, scenario, grid)
     reduced = reduced_stacks(sample_evolution(spec, scenario, grid), spec.register)
     jobs = []
     for power, rows in ((1, report.concurrence_taus), (2, report.concurrence_sq_taus)):
