@@ -26,7 +26,7 @@ from .entanglement import (
     concurrence_curve,
     entanglement_of_formation,
 )
-from .errors import EquivalenceNotEstablishedError, UnsupportedScenarioError
+from .errors import UnsupportedScenarioError
 from .linalg import (
     QUBITS,
     frobenius_distance,

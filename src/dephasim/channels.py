@@ -11,6 +11,9 @@ diagonals, ``kraus_for`` builds the set of every channel kind, and
 each coherence (i, j) by its own factor, exp(-E_ij t): ``NoiseScenario.exponents``
 is the exponent matrix E, built once per scenario from the Kraus diagonals,
 and ``evolve``, the one place rho0 * exp(-t E) is formed, applies it.
+Each channel is the average over a white-noise field with charge +h on the
+all-0 corner of its support and -h on the all-1 corner (h = 1/2 local, 1
+collective), E_ij = rate (h_i - h_j)^2 / 2; ``montecarlo`` draws that field.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ to a unique temporary name and is renamed into place, and if one write fails
 the files already written are removed, so a failed command leaves none.
 
 Exit codes: 0 success, 1 check failed, 2 config parse error, 3 validation
-error, 4 I/O error, 5 stochastic-oracle equivalence not established.
+error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .config import (
 )
 from .channels import NoiseScenario, evolve
 from .entanglement import concurrence_curve, entanglement_of_formation
-from .errors import EquivalenceNotEstablishedError
 from .linalg import UPPER
 from .montecarlo import ALPHA, ChannelComparison, compare_to_channel
 from .presets import (
@@ -74,7 +73,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
-EXIT_EQUIVALENCE = 5
 
 ORACLE_TOL = 1e-12
 
@@ -365,10 +363,9 @@ def _comparison_payload(cmp_: ChannelComparison) -> dict:
         "max_z": cmp_.max_z,
         "z_limit": cmp_.z_limit,
         "alpha": ALPHA,
-        "informational": cmp_.informational,
+        "informational": False,  # every channel kind is compared; kept for readers of the key
         "passed": cmp_.passed,
         "elements": elements,
-        "divergence": list(cmp_.divergence),
     }
 
 
@@ -377,20 +374,12 @@ def cmd_verify(args, raw, out_dir: Path) -> int:
     cfg = mc_from(raw)
     if cfg is None:
         raise ConfigValidationError("mc.seed", "verify needs an mc.* section")
-    cmp_ = compare_to_channel(spec, scenario, cfg, force_informational=args.force_informational)
+    cmp_ = compare_to_channel(spec, scenario, cfg)
     _emit(out_dir, {"verify.json": _dump_json(_comparison_payload(cmp_))})
-    status = "INFORMATIONAL" if cmp_.informational else ("PASS" if cmp_.passed else "FAIL")
     print(
-        f"verify: {status} distance={cmp_.distance:.6g} "
+        f"verify: {'PASS' if cmp_.passed else 'FAIL'} distance={cmp_.distance:.6g} "
         f"expected={cmp_.expected_distance:.6g} max_z={cmp_.max_z:.3g} z_limit={cmp_.z_limit:.3g}"
     )
-    if cmp_.informational:
-        for entry in cmp_.divergence:
-            print(
-                f"  divergence {entry['element']}: stochastic {entry['stochastic_factor']:.6g} "
-                f"vs channel {entry['channel_factor']:.6g}"
-            )
-        return EXIT_OK
     return EXIT_OK if cmp_.passed else EXIT_CHECK_FAILED
 
 
@@ -534,17 +523,13 @@ _FLAGS = {
     "format": {"choices": ("csv", "json"), "help": "table format"},
     "plots": {"action": "store_true", "help": "write SVG line charts"},
     "seed": {"type": int, "help": "override mc.seed / sweep.seed"},
-    "force-informational": {
-        "action": "store_true",
-        "help": "compare scenarios outside the proven-equivalent channel set",
-    },
     "convention": {"choices": ("c", "c2", "both"), "help": "concurrence convention"},
 }
 
 #: name: (handler, help, the flags it reads besides --config and --out)
 _COMMANDS = {
     "run": (cmd_run, "evolve a state and emit trajectories and reports", "format plots convention"),
-    "verify": (cmd_verify, "Monte Carlo cross-check of the evolution", "seed force-informational"),
+    "verify": (cmd_verify, "Monte Carlo cross-check of the evolution", "seed"),
     "paper-tables": (cmd_paper_tables, "reproduce every published timescale and audit", "format"),
     "sweep": (cmd_sweep, "audit random coefficient draws across scenarios", "format seed"),
 }
@@ -585,9 +570,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except EquivalenceNotEstablishedError as exc:
-        print(f"equivalence not established: {exc}", file=sys.stderr)
-        return EXIT_EQUIVALENCE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -3,7 +3,3 @@
 
 class UnsupportedScenarioError(ValueError):
     """No closed-form reference exists for the requested (state, scenario) pair."""
-
-
-class EquivalenceNotEstablishedError(ValueError):
-    """The stochastic-unitary average is not a proven match for this channel set."""

@@ -4,25 +4,26 @@ A white-noise field of a given rate accumulates a phase distributed exactly
 as N(0, rate * t) by time t, so each trajectory draws that phase once per
 field and rotates the initial state by the resulting diagonal unitary.
 Trajectories are drawn in blocks of BLOCK from one generator seeded by the
-run's seed, each block one broadcast; averaging reproduces the local and
-pair-collective channels.  The comparison estimates nothing but the mean:
-under the channel the variance of each component follows from the exponent
-matrix E, and a Bonferroni threshold gives the verdict the family-wise
-false-alarm rate ALPHA.  Scenarios whose phase-diffusion exponents differ
-from E (the triple-collective operators) are only compared on request.
+run's seed, each block one broadcast.  One charge rule covers every channel
+kind: a field puts +h on the all-0 corner of its support, -h on the all-1
+corner and 0 elsewhere, with h = 1/2 for a local field and 1 for a
+collective one (Palma, Suominen & Ekert 1996; Duan & Guo 1997), so the
+average reproduces every channel.  The comparison estimates nothing but the
+mean: under the channel the variance of each component follows from the
+exponent matrix E, and a Bonferroni threshold gives the verdict the
+family-wise false-alarm rate ALPHA.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
-from .channels import SCALE_RANGE, ChannelKind, NoiseScenario, evolve
-from .errors import EquivalenceNotEstablishedError
+from .channels import SCALE_RANGE, ChannelKind, Local, NoiseScenario, evolve
 from .linalg import QUBITS, UPPER, frobenius_distance, subspace_index
 from .states import StateSpec, projector
 
@@ -62,12 +63,14 @@ class TrajectoryConfig:
             raise ValueError(f"t_final must be in [{low:g}, {high:g}], got {self.t_final!r}")
 
 
-def _half_sz_sum(kind: ChannelKind, register: tuple[str, ...]) -> np.ndarray:
-    """Half the sigma_z sum eigenvalue of each basis state on the field support."""
+def _charges(kind: ChannelKind, register: tuple[str, ...]) -> np.ndarray:
+    """Each basis state's charge under a field: +h on its support's all-0 corner, -h on all-1."""
     missing = set(kind.support) - set(register)
     if missing:
         raise ValueError(f"field support {kind.support} outside register {register}")
-    return 0.5 * sum(1.0 - 2.0 * subspace_index((q,), register) for q in kind.support)
+    index = subspace_index(kind.support, register)
+    h = 0.5 if isinstance(kind, Local) else 1.0
+    return h * (1.0 * (index == 0) - (index == (1 << len(kind.support)) - 1))
 
 
 def simulate_statistics(
@@ -90,7 +93,7 @@ def simulate_statistics(
         if not 0 <= rate < math.inf:
             raise ValueError(f"rate must be finite and nonnegative, got {rate}")
 
-    charges = np.array([_half_sz_sum(kind, register) for kind, _ in fields]).reshape(-1, dim)
+    charges = np.array([_charges(kind, register) for kind, _ in fields]).reshape(-1, dim)
     stds = np.sqrt(np.array([rate for _, rate in fields], dtype=float) * cfg.t_final)
     # coherence (i, j) turns by sum_f phase_f (h_fi - h_fj): summed per field,
     # a weak field's phase survives beside a strong one that cancels on (i, j),
@@ -133,10 +136,8 @@ class ChannelComparison:
     z_scores: np.ndarray
     max_z: float
     z_limit: float
-    informational: bool
     mc_mean: np.ndarray
     channel_matrix: np.ndarray
-    divergence: tuple[dict, ...] = field(default_factory=tuple)
 
     @property
     def passed(self) -> bool:
@@ -144,34 +145,11 @@ class ChannelComparison:
 
 
 def compare_to_channel(
-    spec: StateSpec,
-    scenario: NoiseScenario,
-    cfg: TrajectoryConfig,
-    force_informational: bool = False,
+    spec: StateSpec, scenario: NoiseScenario, cfg: TrajectoryConfig
 ) -> ChannelComparison:
-    """Distance and per-element z-scores between the two evolution routes.
-
-    A scenario whose phase-diffusion exponents differ from the channel's
-    exponent matrix is refused unless force_informational is set, in which
-    case the elementwise divergence between the stochastic average and the
-    channel operators is quantified in the result instead of being treated
-    as a failure.
-    """
+    """Distance and per-element z-scores between the two evolution routes."""
     t = cfg.t_final
     exponents = scenario.exponents
-    register = QUBITS[: scenario.register_size]
-    # phase diffusion decays coherence (i, j) at rate * (h_i - h_j)^2 / 2 per
-    # field, h being half the sigma_z sum on the field support
-    half = [(rate, _half_sz_sum(kind, register)) for kind, rate in scenario.channels]
-    stochastic_exponents = sum(rate * np.subtract.outer(h, h) ** 2 / 2.0 for rate, h in half)
-    differs = ~np.isclose(stochastic_exponents, exponents, rtol=1e-9, atol=0.0)
-    informational = bool(differs.any())
-    if informational and not force_informational:
-        raise EquivalenceNotEstablishedError(
-            "the channel operators and phase diffusion decay some coherences at "
-            "different rates (the triple-collective operator set); "
-            "pass force_informational=True to compare anyway"
-        )
     rho0 = projector(spec).matrix
     exact = evolve(rho0, scenario, t)
     mean = simulate_statistics(rho0, scenario.channels, cfg)
@@ -188,20 +166,8 @@ def compare_to_channel(
     se = np.sqrt(var / n)
     live = se > SE_FLOOR
     z = np.where(live, dev / np.where(live, se, 1.0), np.where(dev > ROUNDOFF, np.inf, 0.0))
-    rows, cols, keys = UPPER[len(rho0)]
+    rows, cols, _ = UPPER[len(rho0)]
     upper_live = live[:, rows, cols]
-
-    stochastic, channel = np.exp(-t * stochastic_exponents), np.exp(-t * exponents)
-    shown = (differs & (np.abs(rho0) > 1e-15))[rows, cols]
-    divergence = tuple(
-        {
-            "element": key,
-            "stochastic_factor": float(stochastic[i, j]),
-            "channel_factor": float(channel[i, j]),
-        }
-        for i, j, key, show in zip(rows, cols, keys, shown)
-        if show
-    )
     return ChannelComparison(
         state_class=spec.name,
         scenario_label=scenario.label,
@@ -214,8 +180,6 @@ def compare_to_channel(
         z_scores=z.max(axis=0),
         max_z=float(z.max()),
         z_limit=NormalDist().inv_cdf(1.0 - ALPHA / (2 * max(np.count_nonzero(upper_live), 1))),
-        informational=informational,
         mc_mean=mean,
         channel_matrix=exact,
-        divergence=divergence,
     )

@@ -33,6 +33,7 @@ from dephasim.presets import (
 from dephasim.states import (
     Fragile,
     GenericPure,
+    GHZState,
     Robust,
     analytic_evolved,
     check_density,
@@ -277,6 +278,12 @@ def test_criterion_09_monte_carlo_oracle(tmp_path):
         se = abs(rho0[i, j]) * math.sqrt(-math.expm1(-power) / cfg.n_trajectories)
         ok = ok and abs(mean[i, j] - rho0[i, j] * g**power) <= 4 * se
     ok = ok and mean[1, 2] == 0.0
+
+    # triple-collective GHZ input: the corner coherence turns by twice the phase, so gamma^4
+    rho0 = projector(GHZState(2**-0.5, 2**-0.5)).matrix
+    mean = simulate_statistics(rho0, named_scenario("3q-collective", 1.0).channels, cfg)
+    se = abs(rho0[0, 7]) * math.sqrt(-math.expm1(-4) / cfg.n_trajectories)
+    ok = ok and abs(mean[0, 7] - rho0[0, 7] * g**4) <= 4 * se
 
     # repeat-seed CLI verify runs are byte-identical
     conf = tmp_path / "mc.conf"

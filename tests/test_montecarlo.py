@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from dephasim.channels import (
     TripleCollective,
     gamma,
 )
-from dephasim.errors import EquivalenceNotEstablishedError
 from dephasim.montecarlo import (
     ALPHA,
     BLOCK,
@@ -19,6 +19,7 @@ from dephasim.montecarlo import (
     compare_to_channel,
     simulate_statistics,
 )
+from dephasim.linalg import subspace_index
 from dephasim.presets import draw_state, named_scenario
 from dephasim.states import Fragile, GenericPure, GHZState, projector
 
@@ -147,34 +148,52 @@ def test_compare_local_channel_passes():
     )
     assert cmp_.distance < 5 * cmp_.expected_distance
     assert cmp_.max_z <= cmp_.z_limit < 4.0
-    assert cmp_.passed and not cmp_.informational
+    assert cmp_.passed
 
 
-def test_compare_refuses_triple_collective_by_default():
-    cfg = TrajectoryConfig(100, 1, 1.0)
-    with pytest.raises(EquivalenceNotEstablishedError):
-        compare_to_channel(
-            GHZState(2**-0.5, 2**-0.5), named_scenario("3q-collective", 1.0), cfg
-        )
-
-
-def test_compare_triple_collective_forced_reports_divergence():
-    cfg = TrajectoryConfig(2000, 4, 1.0)
-    cmp_ = compare_to_channel(
+def ghz_triple_case(n: int = 2000):
+    """GHZ under the triple-collective field at unit rate, and its run at t = 1."""
+    return (
         GHZState(2**-0.5, 2**-0.5),
         named_scenario("3q-collective", 1.0),
-        cfg,
-        force_informational=True,
+        TrajectoryConfig(n, 4, 1.0),
     )
-    assert cmp_.informational
-    (entry,) = cmp_.divergence
-    assert entry["element"] == "rho_18"
-    g = gamma(1.0, 1.0)
-    assert abs(entry["stochastic_factor"] - g**9) < 1e-12
-    assert abs(entry["channel_factor"] - g**4) < 1e-12
-    # at unit rate and time: exp(-9/2) from phase diffusion, exp(-2) from the operators
-    assert abs(entry["stochastic_factor"] - math.exp(-4.5)) < 1e-12
-    assert abs(entry["channel_factor"] - math.exp(-2.0)) < 1e-12
+
+
+def test_compare_triple_collective_passes():
+    cmp_ = compare_to_channel(*ghz_triple_case())
+    assert cmp_.passed, cmp_.max_z
+    # charges +1 on |000> and -1 on |111>: rho_18 turns by 2 phases, so decays by e^(-2)
+    assert cmp_.channel_matrix[0, 7] == pytest.approx(0.5 * math.exp(-2.0), rel=1e-15)
+
+
+def _disjoint_layouts(size: int) -> list[tuple]:
+    """Every set of one to three channels on `size` qubits whose supports do not overlap."""
+    register = "ABC"[:size]
+    kinds = [Local(q) for q in register] + [PairCollective(*p) for p in combinations(register, 2)]
+    kinds += [TripleCollective()] * (size == 3)
+    return [
+        chosen
+        for n in (1, 2, 3)
+        for chosen in combinations(kinds, n)
+        if len({q for kind in chosen for q in kind.support}) == sum(len(k.support) for k in chosen)
+    ]
+
+
+def test_charges_give_the_exponent_matrix_bit_for_bit():
+    # sum_f rate_f (h_fi - h_fj)^2 / 2 over the fields' charges is E, built from the Kraus diagonals
+    rng = np.random.default_rng(37)
+    layouts = [(size, layout) for size in (2, 3) for layout in _disjoint_layouts(size)]
+    assert len(layouts) == 18
+    for size, layout in layouts:
+        for _ in range(20):
+            rates = np.exp(rng.uniform(-3.0, 3.0, len(layout)))
+            scenario = NoiseScenario(size, tuple(zip(layout, rates)))
+            exponents = np.zeros((1 << size, 1 << size))
+            for kind, rate in scenario.channels:
+                h = montecarlo._charges(kind, scenario.register)
+                exponents += rate * np.subtract.outer(h, h) ** 2 / 2.0
+            assert np.array_equal(exponents, scenario.exponents), scenario.label
 
 
 def test_convergence_scales_as_inverse_sqrt_n():
@@ -229,12 +248,12 @@ def test_z_limit_is_below_four_for_every_class():
         assert cmp_.z_limit <= 3.9347, cls
 
 
-def test_informational_is_read_from_the_exponents():
-    # a triple-collective field at rate 0 changes neither route, so the scenario is compared
+def test_an_idle_triple_field_beside_a_local_one_passes():
+    # a triple-collective field at rate 0 changes neither route
     cfg = TrajectoryConfig(100, 1, 1.0)
     ghz = GHZState(2**-0.5, 2**-0.5)
     idle = NoiseScenario(3, ((TripleCollective(), 0.0), (Local("A"), 1.0)), allow_overlap=True)
-    assert not compare_to_channel(ghz, idle, cfg).informational
+    assert compare_to_channel(ghz, idle, cfg).passed
     overlapping = NoiseScenario(2, ((Local("A"), 1.0), (PairCollective("A", "B"), 0.5)), allow_overlap=True)
     assert compare_to_channel(GenericPure(0.5, 0.5, 0.5, 0.5), overlapping, cfg).passed
 
@@ -264,14 +283,13 @@ def test_power_on_the_criterion_09_config(monkeypatch):
     assert not cmp_.passed
 
 
-def test_forced_triple_collective_does_not_pass():
-    cmp_ = compare_to_channel(
-        GHZState(2**-0.5, 2**-0.5),
-        named_scenario("3q-collective", 1.0),
-        TrajectoryConfig(2000, 4, 1.0),
-        force_informational=True,
-    )
-    assert cmp_.informational and not cmp_.passed
+def test_power_against_half_sigma_z_charges_on_the_triple(monkeypatch):
+    # half the sigma_z sum, +-3/2 on the corners, decays rho_18 by e^(-9/2), not e^(-2)
+    def half_sz_sum(kind, register):
+        return 0.5 * sum(1.0 - 2.0 * subspace_index((q,), register) for q in kind.support)
+
+    monkeypatch.setattr(montecarlo, "_charges", half_sz_sum)
+    assert not compare_to_channel(*ghz_triple_case()).passed
 
 
 def test_false_alarms_stay_within_the_binomial_bound():

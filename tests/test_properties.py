@@ -125,7 +125,7 @@ scales = st.one_of(st.floats(-320.0, 308.0), st.floats(-100.0, 100.0)).map(lambd
 
 @st.composite
 def state_and_scenario_lines(draw, classes=tuple(sorted(STATE_TYPES)), layouts=LAYOUTS):
-    """Config lines of a drawn state and layout, every rate they set, and the layout."""
+    """Config lines of a drawn state and layout, and every rate they set."""
     cls = draw(st.sampled_from(classes))
     size = len(STATE_TYPES[cls].register)
     spec = draw_state(cls, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
@@ -141,13 +141,13 @@ def state_and_scenario_lines(draw, classes=tuple(sorted(STATE_TYPES)), layouts=L
         if not isinstance(kind, TripleCollective):
             lines.append(f"{prefix}.qubits = {', '.join(kind.support)}")
         lines.append(f"{prefix}.rate = {rate!r}")
-    return lines, rates, layout
+    return lines, rates
 
 
 @st.composite
 def run_configs(draw):
     """A `run` config text, and every rate and horizon it sets."""
-    lines, values, _ = draw(state_and_scenario_lines())
+    lines, values = draw(state_and_scenario_lines())
     t_max = draw(st.none() | scales)
     if t_max is not None:
         lines.append(f"grid.t_max = {t_max!r}")
@@ -156,18 +156,17 @@ def run_configs(draw):
 
 @st.composite
 def verify_configs(draw):
-    """A `verify` config text, every rate and horizon it sets, and whether it has a triple channel."""
+    """A `verify` config text, and every rate and horizon it sets."""
     # a triple-collective layout is rare among all layouts, so it is drawn on its own too
     triple_only = state_and_scenario_lines(("ghz", "w"), {3: [(TripleCollective(),)]})
-    lines, values, layout = draw(st.one_of(state_and_scenario_lines(), triple_only))
+    lines, values = draw(st.one_of(state_and_scenario_lines(), triple_only))
     t_final = draw(scales)
     lines += [
         f"mc.t = {t_final!r}",
         f"mc.trajectories = {draw(st.integers(1, 300))}",
         f"mc.seed = {draw(st.integers(0, 2**32 - 1))}",
     ]
-    triple = any(isinstance(kind, TripleCollective) for kind in layout)
-    return "\n".join(lines) + "\n", values + [t_final], triple
+    return "\n".join(lines) + "\n", values + [t_final]
 
 
 def _in_range(values) -> bool:
@@ -200,20 +199,17 @@ def test_run_writes_all_files_or_none(case):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(verify_configs())
 def test_verify_writes_its_verdict_or_nothing(case):
-    text, values, triple = case
+    text, values = case
     with tempfile.TemporaryDirectory() as tmp:
         conf, out = Path(tmp) / "c.conf", Path(tmp) / "out"
         conf.write_text(text)
         code = _cli("verify", "--config", str(conf), "--out", str(out))
-        if not _in_range(values):
-            assert code == 3, text
-        elif triple:
-            assert code == 5, text
-        else:
+        if _in_range(values):
             assert code in (0, 1), text
             assert [path.name for path in out.iterdir()] == ["verify.json"]
-            return
-        assert not out.exists()
+        else:
+            assert code == 3, text
+            assert not out.exists()
 
 
 #: what a drawn `sweep` config gets wrong, if anything: one key out of range or
@@ -306,7 +302,7 @@ CI_CONF = [
 FUZZ_TOKENS = ("nan", "inf", "-inf", "-0", "1e400", "", "junk", "0x1", "é", "π", "१", ",", "-1")
 SIZE_KEYS = {"grid.samples": ("8", "9"), "mc.trajectories": ("1", "3"), "sweep.draws": ("1",)}
 FUZZ_KEYS = ("bogus", "state.a3", "state.", "grid.t_min", "mc.trajectories.n", "ünknown")
-FUZZ_EXITS = {"run": {0, 1, 2, 3}, "verify": {0, 1, 2, 3, 5}, "sweep": {0, 1, 2, 3}}
+FUZZ_EXITS = {"run": {0, 1, 2, 3}, "verify": {0, 1, 2, 3}, "sweep": {0, 1, 2, 3}}
 
 
 @st.composite
@@ -341,7 +337,7 @@ def test_a_fuzzed_config_ends_in_a_result_or_a_named_error_and_no_file(text):
             out = Path(tmp) / command
             code = _cli(command, "--config", str(conf), "--out", str(out))  # raises nothing
             assert code in exits, (command, text)
-            if code in (2, 3, 5):
+            if code in (2, 3):
                 assert not out.exists(), (command, text)
 
 
