@@ -163,8 +163,16 @@ def ghz_triple_case(n: int = 2000):
 def test_compare_triple_collective_passes():
     cmp_ = compare_to_channel(*ghz_triple_case())
     assert cmp_.passed, cmp_.max_z
+    assert cmp_.max_z <= cmp_.z_limit < 4.0
+
+
+def test_compare_triple_collective_corner_decays_by_e_minus_2():
+    cmp_ = compare_to_channel(*ghz_triple_case())
     # charges +1 on |000> and -1 on |111>: rho_18 turns by 2 phases, so decays by e^(-2)
     assert cmp_.channel_matrix[0, 7] == pytest.approx(0.5 * math.exp(-2.0), rel=1e-15)
+    # the trajectory mean lands on the same corner, not on the old e^(-9/2)
+    se = math.hypot(*exact_se(0.5, 4, cmp_.n_trajectories))
+    assert abs(cmp_.mc_mean[0, 7] - cmp_.channel_matrix[0, 7]) <= 4 * se
 
 
 def _disjoint_layouts(size: int) -> list[tuple]:
