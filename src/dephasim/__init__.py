@@ -26,7 +26,6 @@ from .entanglement import (
     concurrence_curve,
     entanglement_of_formation,
 )
-from .errors import UnsupportedScenarioError
 from .linalg import (
     QUBITS,
     frobenius_distance,

@@ -3,7 +3,8 @@
 Every channel is a set of real diagonal decomposition (Kraus) operators
 acting at one of three scales: a single qubit, a qubit pair sharing one
 noise field, or the whole three-qubit register.  A scenario bundles the
-channels acting on a register together with their damping rates.
+channels acting on a register together with their damping rates; their
+supports may overlap.
 
 Because every operator is diagonal, a ``KrausSet`` stores only the
 diagonals, ``kraus_for`` builds the set of every channel kind, and
@@ -11,9 +12,13 @@ diagonals, ``kraus_for`` builds the set of every channel kind, and
 each coherence (i, j) by its own factor, exp(-E_ij t): ``NoiseScenario.exponents``
 is the exponent matrix E, built once per scenario from the Kraus diagonals,
 and ``evolve``, the one place rho0 * exp(-t E) is formed, applies it.
-Each channel is the average over a white-noise field with charge +h on the
-all-0 corner of its support and -h on the all-1 corner (h = 1/2 local, 1
-collective), E_ij = rate (h_i - h_j)^2 / 2; ``montecarlo`` draws that field.
+Each channel is the average over a white-noise field coupled to a diagonal
+charge, ``charges``: +h on the all-0 corner of its support, -h on the all-1
+corner and 0 elsewhere, with h = 1/2 for a local field and 1 for a collective
+one (Palma, Suominen & Ekert 1996; Duan & Guo 1997), so E_ij = rate
+(h_i - h_j)^2 / 2.  This is the one statement of the field model: the closed
+form of :mod:`dephasim.states` and the trajectories of
+:mod:`dephasim.montecarlo` both read it.
 """
 
 from __future__ import annotations
@@ -122,25 +127,31 @@ class TripleCollective:
 ChannelKind = Union[Local, PairCollective, TripleCollective]
 
 
+def charges(kind: ChannelKind, register: tuple[str, ...]) -> np.ndarray:
+    """Each basis state's charge under a field: +h on its support's all-0 corner, -h on all-1."""
+    missing = set(kind.support) - set(register)
+    if missing:
+        raise ValueError(f"field support {kind.support} outside register {register}")
+    index = subspace_index(kind.support, register)
+    h = 0.5 if isinstance(kind, Local) else 1.0
+    return h * (1.0 * (index == 0) - (index == (1 << len(kind.support)) - 1))
+
+
 @dataclass(frozen=True)
 class NoiseScenario:
     """Which dephasing channels act on the register, and at which rates.
 
-    By default each qubit may sit in the support of at most one channel;
-    set allow_overlap=True to lift that restriction for exploratory runs
-    (such scenarios are excluded from closed-form reference checks).
+    A qubit may sit in the support of any number of channels.
     """
 
     register_size: int
     channels: tuple[tuple[ChannelKind, float], ...]
-    allow_overlap: bool = False
 
     def __post_init__(self):
         if self.register_size not in (2, 3):
             raise ValueError(f"register_size must be 2 or 3, got {self.register_size}")
         object.__setattr__(self, "channels", tuple((k, float(r)) for k, r in self.channels))
         register = set(self.register)
-        seen: list[str] = []
         low, high = SCALE_RANGE
         for kind, rate in self.channels:
             if rate != 0 and not low <= rate <= high:
@@ -150,12 +161,6 @@ class NoiseScenario:
                 raise ValueError(
                     f"channel {kind.label} acts outside the {self.register_size}-qubit register"
                 )
-            seen.extend(kind.support)
-        if not self.allow_overlap and len(seen) != len(set(seen)):
-            raise ValueError(
-                "each qubit may be driven by at most one noise channel "
-                "(pass allow_overlap=True to override)"
-            )
 
     @property
     def register(self) -> tuple[str, ...]:

@@ -37,7 +37,6 @@ _COEFFICIENTS = sorted({slot for cls in STATE_TYPES.values() for slot in slots(c
 _KEY_PATTERNS = [
     r"state\.(class|" + "|".join(_COEFFICIENTS) + ")",
     r"scenario\.register",
-    r"scenario\.allow_overlap",
     r"scenario\.channels\[\d+\]\.(kind|qubits|rate)",
     r"grid\.(t_max|samples)",
     r"outputs",
@@ -228,9 +227,7 @@ def scenario_from(raw: dict[str, str]) -> NoiseScenario:
     if not channels:
         raise ConfigValidationError("scenario.channels[0].kind", "at least one channel required")
     try:
-        return NoiseScenario(
-            register, tuple(channels), allow_overlap=_as_bool(raw, "scenario.allow_overlap")
-        )
+        return NoiseScenario(register, tuple(channels))
     except ValueError as exc:
         raise ConfigValidationError("scenario.channels", str(exc)) from None
 

@@ -4,14 +4,12 @@ A white-noise field of a given rate accumulates a phase distributed exactly
 as N(0, rate * t) by time t, so each trajectory draws that phase once per
 field and rotates the initial state by the resulting diagonal unitary.
 Trajectories are drawn in blocks of BLOCK from one generator seeded by the
-run's seed, each block one broadcast.  One charge rule covers every channel
-kind: a field puts +h on the all-0 corner of its support, -h on the all-1
-corner and 0 elsewhere, with h = 1/2 for a local field and 1 for a
-collective one (Palma, Suominen & Ekert 1996; Duan & Guo 1997), so the
-average reproduces every channel.  The comparison estimates nothing but the
-mean: under the channel the variance of each component follows from the
-exponent matrix E, and a Bonferroni threshold gives the verdict the
-family-wise false-alarm rate ALPHA.
+run's seed, each block one broadcast.  Each field couples to the charges of
+:func:`dephasim.channels.charges`, the one charge rule of every channel
+kind, so the average reproduces every channel.  The comparison estimates
+nothing but the mean: under the channel the variance of each component
+follows from the exponent matrix E, and a Bonferroni threshold gives the
+verdict the family-wise false-alarm rate ALPHA.
 """
 
 from __future__ import annotations
@@ -23,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import SCALE_RANGE, ChannelKind, Local, NoiseScenario, evolve
-from .linalg import QUBITS, UPPER, frobenius_distance, subspace_index
+from .channels import SCALE_RANGE, ChannelKind, NoiseScenario, charges, evolve
+from .linalg import QUBITS, UPPER, frobenius_distance
 from .states import StateSpec, projector
 
 #: family-wise false-alarm rate of compare_to_channel's verdict
@@ -63,16 +61,6 @@ class TrajectoryConfig:
             raise ValueError(f"t_final must be in [{low:g}, {high:g}], got {self.t_final!r}")
 
 
-def _charges(kind: ChannelKind, register: tuple[str, ...]) -> np.ndarray:
-    """Each basis state's charge under a field: +h on its support's all-0 corner, -h on all-1."""
-    missing = set(kind.support) - set(register)
-    if missing:
-        raise ValueError(f"field support {kind.support} outside register {register}")
-    index = subspace_index(kind.support, register)
-    h = 0.5 if isinstance(kind, Local) else 1.0
-    return h * (1.0 * (index == 0) - (index == (1 << len(kind.support)) - 1))
-
-
 def simulate_statistics(
     rho0, fields: Sequence[tuple[ChannelKind, float]], cfg: TrajectoryConfig
 ) -> np.ndarray:
@@ -93,13 +81,13 @@ def simulate_statistics(
         if not 0 <= rate < math.inf:
             raise ValueError(f"rate must be finite and nonnegative, got {rate}")
 
-    charges = np.array([_charges(kind, register) for kind, _ in fields]).reshape(-1, dim)
+    charge = np.array([charges(kind, register) for kind, _ in fields]).reshape(-1, dim)
     stds = np.sqrt(np.array([rate for _, rate in fields], dtype=float) * cfg.t_final)
     # coherence (i, j) turns by sum_f phase_f (h_fi - h_fj): summed per field,
     # a weak field's phase survives beside a strong one that cancels on (i, j),
     # where the difference of two per-state sums would round it away
     rows, cols, _ = UPPER[dim]
-    gaps = charges[:, rows] - charges[:, cols]
+    gaps = charge[:, rows] - charge[:, cols]
     coherences = mat[rows, cols]
 
     rng = np.random.default_rng(cfg.seed)

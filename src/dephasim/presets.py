@@ -111,10 +111,11 @@ def scenario_layout(scenario: NoiseScenario) -> Optional[tuple[str, tuple[float,
 
     A scenario relabels a layout when it has the same register size and the
     same multiset of channel kinds, whatever the qubits and the channel order.
-    None when supports may overlap, a rate is not positive, channels of one
-    kind run at different rates, or no layout matches.
+    None when supports overlap, a rate is not positive, channels of one kind
+    run at different rates, or no layout matches.
     """
-    if scenario.allow_overlap:
+    qubits = [q for kind, _ in scenario.channels for q in kind.support]
+    if len(qubits) != len(set(qubits)):
         return None
     rates: dict[type, set[float]] = {}
     for kind, rate in scenario.channels:

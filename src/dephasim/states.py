@@ -6,8 +6,9 @@ both).  One table below defines the seven classes: each class's coefficient
 slots, the basis indices they sit on and its register; ``STATE_TYPES``
 indexes it by name.  ``pure_matrices`` is the one outer product |v><v|, of
 one amplitude vector or a stack.  ``analytic_factors`` builds the published
-elementwise decay factors at many times at once and ``analytic_evolved`` the
-state at one, an independent reference for the Kraus evolution in
+elementwise decay factors at many times at once from the field charges of
+:func:`dephasim.channels.charges`, and ``analytic_evolved`` the state at
+one, an independent reference for the Kraus evolution in
 :mod:`dephasim.channels`.  ``check_density`` validates one density matrix or a
 stack of them, so a stack of projectors times its factors is checked once.
 """
@@ -20,9 +21,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .channels import ChannelKind, Local, NoiseScenario, PairCollective, TripleCollective, gamma
-from .errors import UnsupportedScenarioError
-from .linalg import QUBITS, partial_trace, subspace_index
+from .channels import NoiseScenario, charges, gamma
+from .linalg import QUBITS, partial_trace
 
 #: largest deviation of a density matrix's trace from 1 (and so of a pure
 #: state's sum |c|^2) that projector and DensityMatrix accept.
@@ -157,44 +157,27 @@ def projector(spec: StateSpec) -> DensityMatrix:
     return DensityMatrix(rho, spec.register)
 
 
-def _channel_factor(kind: ChannelKind, register: tuple[str, ...], g: float) -> np.ndarray:
-    """Elementwise decay factor of one channel at g = gamma(rate, t).
-
-    Row and column are read by their values on the channel's support.  A
-    local channel gives g between its qubit's two values.  A collective one
-    gives g where exactly one end is a corner of the support (all 0 or all 1)
-    and g**4 between the two corners.  Every other factor is 1.
-    """
-    if not isinstance(kind, (Local, PairCollective, TripleCollective)):
-        raise UnsupportedScenarioError(f"no closed-form factors for channel {kind!r}")
-    sub = subspace_index(kind.support, register)
-    if isinstance(kind, Local):
-        return np.where(sub[:, None] != sub[None, :], g, 1.0)
-    # the corners at -1 and 1, the rest at 0: a step of 1 takes g, a step of 2 g**4
-    end = (sub == (1 << len(kind.support)) - 1).astype(int) - (sub == 0)
-    return np.array([1.0, g, g**4])[abs(end[:, None] - end[None, :])]
-
-
 def analytic_factors(scenario: NoiseScenario, register: tuple[str, ...], times) -> np.ndarray:
     """(T, d, d) published elementwise decay factors of the scenario at each of `times`.
 
-    Coherence (i, j) at time t is multiplied by the product of its per-channel
-    factors at gamma(rate, t); populations are untouched.
+    A channel multiplies coherence (i, j) by g^((h_i - h_j)^2) at g = gamma(rate, t),
+    h being its field's charges; the factors of all channels multiply, whether
+    or not their supports overlap.  Populations are untouched.
     """
     if len(register) != scenario.register_size:
         raise ValueError(
             f"state register {register} does not match a {scenario.register_size}-qubit scenario"
         )
-    if scenario.allow_overlap:
-        raise UnsupportedScenarioError(
-            "overlapping-support scenarios have no closed-form reference"
-        )
+    # |h_i - h_j| is 0, 1 or 2, so a channel's factor is [1, g, g**4][|h_i - h_j|]
+    charge = [charges(kind, register) for kind, _ in scenario.channels]
+    gaps = [abs(np.subtract.outer(h, h)).astype(int) for h in charge]
     dim = 1 << len(register)
     factors = np.ones((len(times), dim, dim))
     # scalar gamma per time: np.exp over all times may differ in the last bit
     for factor, t in zip(factors, times):
-        for kind, rate in scenario.channels:
-            factor *= _channel_factor(kind, register, gamma(rate, t))
+        for gap, (_, rate) in zip(gaps, scenario.channels):
+            g = gamma(rate, t)
+            factor *= np.array([1.0, g, g**4])[gap]
     return factors
 
 

@@ -274,9 +274,9 @@ def random_kind(rng, register_size):
     return TripleCollective()
 
 
-def random_wide_scenario(rng, allow_overlap):
-    """Random channels with log-uniform rates in [1e-3, 1e3]; overlapping if allowed."""
-    if not allow_overlap:
+def random_wide_scenario(rng, overlapping):
+    """Random channels with log-uniform rates in [1e-3, 1e3]; supports overlap if `overlapping`."""
+    if not overlapping:
         scenario = random_scenario(rng)
         kinds = [kind for kind, _ in scenario.channels]
         n = scenario.register_size
@@ -284,13 +284,13 @@ def random_wide_scenario(rng, allow_overlap):
         n = int(rng.choice([2, 3]))
         kinds = [random_kind(rng, n) for _ in range(int(rng.integers(2, 5)))]
     rates = 10.0 ** rng.uniform(-3.0, 3.0, size=len(kinds))
-    return NoiseScenario(n, tuple(zip(kinds, rates)), allow_overlap=allow_overlap)
+    return NoiseScenario(n, tuple(zip(kinds, rates)))
 
 
 def test_evolve_matches_sequential_kraus_at_wide_rates():
     rng = np.random.default_rng(13)
     for trial in range(60):
-        scenario = random_wide_scenario(rng, allow_overlap=trial % 2 == 1)
+        scenario = random_wide_scenario(rng, overlapping=trial % 2 == 1)
         rho = random_density(rng, scenario.register_size)
         t_max = 3.0 / scenario.min_rate
         # the grid ends, random times, and each channel's own e-folding scale
@@ -305,19 +305,17 @@ def test_evolve_matches_sequential_kraus_at_wide_rates():
 def test_exponents_finite_and_zero_for_idle_channels():
     rng = np.random.default_rng(14)
     for trial in range(60):
-        scenario = random_wide_scenario(rng, allow_overlap=trial % 2 == 1)
+        scenario = random_wide_scenario(rng, overlapping=trial % 2 == 1)
         exponents = scenario.exponents
         assert np.all(np.isfinite(exponents)) and np.min(exponents) >= 0.0
         assert np.all(np.diag(exponents) == 0.0)
         idle = NoiseScenario(
-            scenario.register_size,
-            tuple((kind, 0.0) for kind, _ in scenario.channels),
-            allow_overlap=scenario.allow_overlap,
+            scenario.register_size, tuple((kind, 0.0) for kind, _ in scenario.channels)
         )
         assert np.all(idle.exponents == 0.0)
     # a rate-0 channel leaves the exponents of the others unchanged
     busy = ((Local("A"), 37.0), (PairCollective("B", "C"), 0.1))
-    with_idle = NoiseScenario(3, busy + ((TripleCollective(), 0.0),), allow_overlap=True)
+    with_idle = NoiseScenario(3, busy + ((TripleCollective(), 0.0),))
     assert np.array_equal(with_idle.exponents, NoiseScenario(3, busy).exponents)
 
 
@@ -345,7 +343,7 @@ def test_exponents_are_built_once_per_scenario(monkeypatch):
 
     monkeypatch.setattr("dephasim.channels.kraus_for", counted)
     busy = ((Local("A"), 2.0), (PairCollective("B", "C"), 0.5), (TripleCollective(), 0.0))
-    scenario = NoiseScenario(3, busy, allow_overlap=True)
+    scenario = NoiseScenario(3, busy)
     unread_hash = hash(scenario)
     spec = draw_state("w", np.random.default_rng(3))
     audit_inequality(build_report(spec, scenario))
@@ -358,7 +356,7 @@ def test_exponents_are_built_once_per_scenario(monkeypatch):
         scenario.exponents[0, 1] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         scenario.exponents = np.zeros((8, 8))
-    fresh = NoiseScenario(3, busy, allow_overlap=True)
+    fresh = NoiseScenario(3, busy)
     assert fresh == scenario and hash(fresh) == hash(scenario) == unread_hash
     assert fresh.exponents.tobytes() == scenario.exponents.tobytes()
     assert len(builds) == 4
@@ -509,14 +507,12 @@ def test_offdiagonals_decay_monotonically():
         assert np.all(np.diff(mags, axis=0) <= 1e-12)
 
 
-def test_scenario_rejects_overlapping_support():
-    with pytest.raises(ValueError):
-        NoiseScenario(3, ((Local("A"), 1.0), (PairCollective("A", "B"), 1.0)))
-    # explicit override allows it
-    scenario = NoiseScenario(
-        3, ((Local("A"), 1.0), (PairCollective("A", "B"), 1.0)), allow_overlap=True
-    )
-    assert scenario.allow_overlap
+def test_scenario_accepts_overlapping_support():
+    # a qubit may sit in several supports; E is the sum of its channels' exponents
+    local, pair = (Local("A"), 1.0), (PairCollective("A", "B"), 0.5)
+    scenario = NoiseScenario(3, (local, pair))
+    alone = NoiseScenario(3, (local,)).exponents + NoiseScenario(3, (pair,)).exponents
+    assert np.array_equal(scenario.exponents, alone)
 
 
 def test_scenario_rejects_support_outside_register():

@@ -238,6 +238,26 @@ def test_run_register3_schema(tmp_path):
     ]
 
 
+def test_an_overlapping_scenario_runs(tmp_path, capsys):
+    # local(A) beside pair(AB): qubit A sits in both supports
+    edits = {
+        "scenario.channels[0].kind": "local",
+        "scenario.channels[0].qubits": "A",
+        "scenario.channels[1].kind": "pair_collective",
+        "scenario.channels[1].qubits": "A, B",
+        "scenario.channels[1].rate": "0.5",
+    }
+    raw = {**parse_config_text(FRAGILE_CONF), **edits}
+    conf = tmp_path / "c.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(conf), "--out", str(out), "--plots"]) == 0
+    assert {path.name for path in out.iterdir()} == {
+        "trajectory.csv", "timescales.csv", "audit.csv", "elements.svg", "entanglement.svg"
+    }
+    assert "audit: PASS" in capsys.readouterr().out
+
+
 def test_run_json_format(fragile_conf, tmp_path):
     out = tmp_path / "j"
     assert main(["run", "--config", str(fragile_conf), "--out", str(out), "--format", "json"]) == 0
@@ -347,6 +367,12 @@ def test_validation_errors_name_their_own_key(key, value):
         ),
         # the phase is drawn in one step, so there is no step size to set
         ("verify", {"mc.dt": "0.02"}, "mc.dt: unknown configuration key"),
+        # supports may overlap, so there is no switch to allow it
+        (
+            "run",
+            {"scenario.allow_overlap": "true"},
+            "scenario.allow_overlap: unknown configuration key",
+        ),
     ],
     ids=[
         "run-rate-1e-308",
@@ -355,6 +381,7 @@ def test_validation_errors_name_their_own_key(key, value):
         "sweep-rate-1e308",
         "verify-rate-1e300-t-1e10",
         "verify-mc.dt",
+        "run-scenario.allow_overlap",
     ],
 )
 def test_out_of_range_configs_name_their_key(tmp_path, capsys, command, edits, key):
@@ -650,17 +677,16 @@ def test_the_stacked_oracle_refuses_a_draw_that_is_not_a_state(monkeypatch, a4, 
 
 
 def test_the_oracle_catches_a_fault_in_the_closed_form(tmp_path, capsys, monkeypatch):
-    channel_factor = states._channel_factor
+    real = states.charges
 
-    def perturbed(kind, register, g):
-        factor = channel_factor(kind, register, g).copy()
+    def perturbed(kind, register):
+        h = real(kind, register)
         if isinstance(kind, TripleCollective):
-            # a W coherence; GHZ, the other class under this channel, has none there
-            factor[1, 2] += 1e-10
-            factor[2, 1] += 1e-10
-        return factor
+            # |001> joins the all-0 corner: W's rho_23 now decays; GHZ has no |001>
+            h = h + (np.arange(len(h)) == 1)
+        return h
 
-    monkeypatch.setattr(states, "_channel_factor", perturbed)
+    monkeypatch.setattr(states, "charges", perturbed)
     _paper_tables_with_a_fault(tmp_path, capsys)
 
 

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from dephasim.channels import (
     NoiseScenario,
     PairCollective,
     TripleCollective,
+    charges,
     gamma,
 )
 from dephasim.montecarlo import (
@@ -175,31 +176,34 @@ def test_compare_triple_collective_corner_decays_by_e_minus_2():
     assert abs(cmp_.mc_mean[0, 7] - cmp_.channel_matrix[0, 7]) <= 4 * se
 
 
-def _disjoint_layouts(size: int) -> list[tuple]:
-    """Every set of one to three channels on `size` qubits whose supports do not overlap."""
+def _kind_multisets(size: int) -> list[tuple]:
+    """Every multiset of one to three channel kinds on `size` qubits, overlapping or not."""
     register = "ABC"[:size]
     kinds = [Local(q) for q in register] + [PairCollective(*p) for p in combinations(register, 2)]
     kinds += [TripleCollective()] * (size == 3)
-    return [
-        chosen
-        for n in (1, 2, 3)
-        for chosen in combinations(kinds, n)
-        if len({q for kind in chosen for q in kind.support}) == sum(len(k.support) for k in chosen)
-    ]
+    return [chosen for n in (1, 2, 3) for chosen in combinations_with_replacement(kinds, n)]
+
+
+def _disjoint(layout: tuple) -> bool:
+    qubits = [q for kind in layout for q in kind.support]
+    return len(qubits) == len(set(qubits))
 
 
 def test_charges_give_the_exponent_matrix_bit_for_bit():
-    # sum_f rate_f (h_fi - h_fj)^2 / 2 over the fields' charges is E, built from the Kraus diagonals
+    # sum_f rate_f (h_fi - h_fj)^2 / 2 over the fields' charges is E, built from
+    # the Kraus diagonals, for disjoint and overlapping supports alike
     rng = np.random.default_rng(37)
-    layouts = [(size, layout) for size in (2, 3) for layout in _disjoint_layouts(size)]
-    assert len(layouts) == 18
+    layouts = [(size, layout) for size in (2, 3) for layout in _kind_multisets(size)]
+    assert len(layouts) == 138
+    assert len([layout for _, layout in layouts if _disjoint(layout)]) == 18
     for size, layout in layouts:
-        for _ in range(20):
+        # 20 draws of each disjoint layout, 4 of each overlapping one: 840 scenarios
+        for _ in range(20 if _disjoint(layout) else 4):
             rates = np.exp(rng.uniform(-3.0, 3.0, len(layout)))
             scenario = NoiseScenario(size, tuple(zip(layout, rates)))
             exponents = np.zeros((1 << size, 1 << size))
             for kind, rate in scenario.channels:
-                h = montecarlo._charges(kind, scenario.register)
+                h = charges(kind, scenario.register)
                 exponents += rate * np.subtract.outer(h, h) ** 2 / 2.0
             assert np.array_equal(exponents, scenario.exponents), scenario.label
 
@@ -260,9 +264,9 @@ def test_an_idle_triple_field_beside_a_local_one_passes():
     # a triple-collective field at rate 0 changes neither route
     cfg = TrajectoryConfig(100, 1, 1.0)
     ghz = GHZState(2**-0.5, 2**-0.5)
-    idle = NoiseScenario(3, ((TripleCollective(), 0.0), (Local("A"), 1.0)), allow_overlap=True)
+    idle = NoiseScenario(3, ((TripleCollective(), 0.0), (Local("A"), 1.0)))
     assert compare_to_channel(ghz, idle, cfg).passed
-    overlapping = NoiseScenario(2, ((Local("A"), 1.0), (PairCollective("A", "B"), 0.5)), allow_overlap=True)
+    overlapping = NoiseScenario(2, ((Local("A"), 1.0), (PairCollective("A", "B"), 0.5)))
     assert compare_to_channel(GenericPure(0.5, 0.5, 0.5, 0.5), overlapping, cfg).passed
 
 
@@ -296,7 +300,7 @@ def test_power_against_half_sigma_z_charges_on_the_triple(monkeypatch):
     def half_sz_sum(kind, register):
         return 0.5 * sum(1.0 - 2.0 * subspace_index((q,), register) for q in kind.support)
 
-    monkeypatch.setattr(montecarlo, "_charges", half_sz_sum)
+    monkeypatch.setattr(montecarlo, "charges", half_sz_sum)
     assert not compare_to_channel(*ghz_triple_case()).passed
 
 

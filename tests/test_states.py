@@ -1,11 +1,10 @@
 import math
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from dephasim.channels import Local, NoiseScenario, PairCollective, TripleCollective, evolve, gamma
-from dephasim.errors import UnsupportedScenarioError
 from dephasim.linalg import QUBITS, frobenius_distance, partial_trace, subspace_index
 from dephasim.presets import PAPER_MATRIX, draw_state, named_scenario
 from dephasim.states import (
@@ -293,13 +292,29 @@ def test_analytic_matches_kraus_for_second_forms_and_generic():
                 assert frobenius_distance(reference.matrix, via_kraus.matrix) <= 1e-12
 
 
-def test_analytic_rejects_overlap_scenarios():
-    spec = draw_state("w", RNG)
-    scenario = NoiseScenario(
-        3, ((Local("A"), 1.0), (PairCollective("A", "B"), 1.0)), allow_overlap=True
-    )
-    with pytest.raises(UnsupportedScenarioError):
-        analytic_evolved(spec, scenario, 1.0)
+def test_analytic_matches_evolve_on_every_multiset_of_channel_kinds():
+    # each channel's factor is read off its charges, and the factors of commuting
+    # diagonal channels multiply whether or not their supports overlap
+    rng = np.random.default_rng(40)
+    checked = 0
+    for size in (2, 3):
+        register = QUBITS[:size]
+        kinds = [Local(q) for q in register] + [PairCollective(*p) for p in combinations(register, 2)]
+        kinds += [TripleCollective()] * (size == 3)
+        for n in (1, 2, 3):
+            for chosen in combinations_with_replacement(kinds, n):
+                rates = np.exp(rng.uniform(-3.0, 3.0, n))
+                scenario = NoiseScenario(size, tuple(zip(chosen, rates)))
+                times = np.array([0.0, 0.3, 1.0, 3.0]) / rates.max()
+                for cls in STATE_TYPES.values():
+                    if len(cls.register) != size:
+                        continue
+                    rho0 = projector(draw_state(cls.name, rng)).matrix
+                    closed = rho0 * analytic_factors(scenario, register, times)
+                    exact = evolve(rho0, scenario, times[:, None, None])
+                    assert np.max(np.abs(closed - exact)) <= 1e-12, (cls.name, scenario.label)
+                checked += 1
+    assert checked == 138
 
 
 def test_analytic_rejects_register_mismatch():

@@ -21,6 +21,7 @@ from dephasim.presets import (
     measure_paper_taus,
     named_scenario,
     paper_tau_table,
+    scenario_layout,
 )
 from dephasim.states import (
     STATE_TYPES,
@@ -211,10 +212,18 @@ def test_paper_tau_table_rejects_unknown_pairs():
     rates_differ = NoiseScenario(
         3, ((Local("A"), 1.0), (Local("B"), 2.0), (Local("C"), 1.0))
     )
-    overlapping = NoiseScenario(3, ((Local("A"), 1.0), (Local("B"), 1.0)), allow_overlap=True)
     idle_pair = named_scenario("3q-local-A-pair-BC", (1.0, 0.0))
-    for scenario in (rates_differ, overlapping, idle_pair):
-        assert paper_tau_table("w", scenario) == ()
+    # overlapping supports, though each multiset of kinds is a named layout's
+    overlapping = (
+        NoiseScenario(2, ((Local("A"), 1.0),) * 2),
+        NoiseScenario(3, ((Local("A"), 1.0),) * 3),
+        NoiseScenario(3, ((Local("A"), 1.0), (PairCollective("A", "B"), 1.0))),
+    )
+    for scenario in overlapping:
+        assert scenario_layout(scenario) is None, scenario.label
+    for scenario in (rates_differ, idle_pair, *overlapping):
+        for cls in STATE_TYPES:
+            assert paper_tau_table(cls, scenario) == (), (cls, scenario.label)
 
 
 def test_paper_matrix_keeps_its_order():
@@ -534,7 +543,7 @@ def test_reduced_coherences_are_single_exponentials():
     checked = 0
     for size, chosen in _kind_sets():
         rates = rng.uniform(0.1, 10.0, size=len(chosen))
-        scenario = NoiseScenario(size, tuple(zip(chosen, rates)), allow_overlap=True)
+        scenario = NoiseScenario(size, tuple(zip(chosen, rates)))
         exponents = scenario.exponents
         for cls in STATE_TYPES.values():
             if len(cls.register) != size:
@@ -703,7 +712,7 @@ def _scale_cases():
             yield draw_state(cls, rng), named_scenario(scen_name, rate), 0.5 / rate
     for size, chosen in _kind_sets():
         rates = rng.uniform(0.3, 3.0, size=len(chosen))
-        scenario = NoiseScenario(size, tuple(zip(chosen, rates)), allow_overlap=True)
+        scenario = NoiseScenario(size, tuple(zip(chosen, rates)))
         for cls in STATE_TYPES.values():
             if len(cls.register) == size:
                 yield draw_state(cls.name, rng), scenario, 0.5 / max(rates)
